@@ -29,11 +29,16 @@ from .core import (
 OUTSIDE = -1
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# _phi(t) is exactly 0 once |t| exceeds ~38.6, so clipping |t| at this bound
+# changes no value; it keeps np.square below its overflow at ~1.3e154. A bound
+# near 40 would be as exact but puts the infinite envelope ends on exp's slow
+# underflow path.
+_PHI_CLIP = 1e150
 
 
 def _phi(t):
     """Standard normal pdf, exact 0 at +-inf."""
-    return _INV_SQRT2PI * np.exp(-0.5 * np.square(t))
+    return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP)))
 
 
 @dataclass(frozen=True)
@@ -141,14 +146,26 @@ class PureCharMarket(DemandModel):
         if beta[0] != 1.0:
             raise InvalidInputError(f"beta[0] must be exactly 1, got {beta[0]!r}")
 
-        # Slope data shared by every consumer, precomputed once. The fast
-        # interval-based evaluator needs all K = J+1 slopes (products plus the
-        # zero line) distinct; ties fall back to the per-consumer sweep.
+        # Slope data shared by every consumer, precomputed once. The K = J+1
+        # lines (products, then the zero line at index J) fall into G groups of
+        # equal slope, in increasing slope order. Only a group's highest line
+        # can own an envelope segment, so the evaluator works on G lines with
+        # distinct slopes. Members of a tied group are listed by index, so the
+        # first maximum is the lowest product index and the zero line loses.
         slopes = np.append(z[:, 0], 0.0)
         order = np.argsort(slopes, kind="stable")
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_generic", np.unique(slopes).size == slopes.size)
+        ranked = slopes[order]
+        starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+        sizes = np.diff(starts, append=slopes.size)
+        tied = np.flatnonzero(sizes > 1)
+        # (T, S) member table of the tied groups, padded by repeating a group's
+        # last member; a repeat changes neither the maximum nor its owner.
+        offsets = np.minimum(np.arange(sizes.max()), sizes[tied, None] - 1)
+        members = order[starts[tied, None] + offsets]
+        object.__setattr__(self, "_group_slopes", ranked[starts])
+        object.__setattr__(self, "_heads", order[starts])
+        object.__setattr__(self, "_tied", tied)
+        object.__setattr__(self, "_members", members)
 
     @property
     def J(self) -> int:
@@ -167,41 +184,51 @@ class PureCharMarket(DemandModel):
         x = as_mean_utility(x, self.J)
         return x + self.nu_rest @ self.z[:, 1:].T
 
+    def _group_lines(self, block):
+        """Each slope group's highest intercept per consumer, (m, G), and, when
+        some slopes tie, the line that owns each group per consumer, (m, G)."""
+        full = np.concatenate([block, np.zeros((block.shape[0], 1))], axis=1)
+        A = full[:, self._heads]
+        if not self._tied.size:
+            return A, None
+        cand = full[:, self._members]  # (m, T, S)
+        A[:, self._tied] = cand.max(axis=2)
+        owner = np.tile(self._heads, (block.shape[0], 1))
+        owner[:, self._tied] = self._members[np.arange(self._tied.size), cand.argmax(axis=2)]
+        return A, owner
+
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
-        a = self.intercepts(x)
-        if self._generic:
-            return self._evaluate_intervals(a, want_jacobian)
-        return self._evaluate_sweep(a, want_jacobian)
+        """Shares, welfare and optionally the Jacobian via the interval formulation.
 
-    def _evaluate_intervals(self, a, want_jacobian):
-        """Vectorized evaluation via the interval formulation.
-
-        With all slopes distinct, line c is on the envelope exactly on
-        (L_c, R_c) where L_c is the largest crossing with a lower-slope line
-        and R_c the smallest crossing with a higher-slope line. Valid only in
-        the generic (distinct slopes) case.
+        Per consumer, each slope group is reduced to its highest line. With
+        the G reduced slopes distinct, group c is on the envelope exactly on
+        (L_c, R_c), where L_c is the largest crossing with a lower-slope line
+        and R_c the smallest crossing with a higher-slope line; the segment
+        belongs to the consumer's winner in group c.
         """
+        a = self.intercepts(x)
         J = self.J
         K = J + 1
         n = self.n
-        order = self._order
-        bs = self._slopes[order]
+        heads = self._heads
+        tied = self._tied
+        bs = self._group_slopes
+        G = bs.size
 
         diffb = bs[:, None] - bs[None, :]
         np.fill_diagonal(diffb, 1.0)  # diagonal is masked below
-        lower_mask = np.tril(np.ones((K, K), dtype=bool), -1)
-        upper_mask = np.triu(np.ones((K, K), dtype=bool), 1)
-        positions = np.arange(K)
+        lower_mask = np.tril(np.ones((G, G), dtype=bool), -1)
+        upper_mask = np.triu(np.ones((G, G), dtype=bool), 1)
+        positions = np.arange(G)
 
-        width_sum = np.zeros(K)
+        width_sum = np.zeros(G)
+        member_width = np.zeros(K)  # per-line widths inside tied groups
         welfare_sum = 0.0
         flux = np.zeros((K, K)) if want_jacobian else None
 
-        chunk = max(1, int(2_000_000) // (K * K))
+        chunk = max(1, int(2_000_000) // (G * G))
         for i0 in range(0, n, chunk):
-            block = a[i0 : i0 + chunk]
-            m = block.shape[0]
-            A = np.concatenate([block, np.zeros((m, 1))], axis=1)[:, order]
+            A, owner = self._group_lines(a[i0 : i0 + chunk])
             cross = (A[:, None, :] - A[:, :, None]) / diffb
             L = np.where(lower_mask, cross, -np.inf).max(axis=2)
             R = np.where(upper_mask, cross, np.inf).min(axis=2)
@@ -213,12 +240,16 @@ class PureCharMarket(DemandModel):
             pdf_R = _phi(R)
             width = np.where(alive, np.maximum(cdf_R - cdf_L, 0.0), 0.0)
             width_sum += width.sum(axis=0)
+            if owner is not None:
+                member_width += np.bincount(
+                    owner[:, tied].ravel(), weights=width[:, tied].ravel(), minlength=K
+                )
             piece = A * (cdf_R - cdf_L) + bs * (pdf_L - pdf_R)
             welfare_sum += float(np.where(alive, piece, 0.0).sum())
 
             if want_jacobian:
-                # Adjacent alive classes p < c share the breakpoint L_c; each
-                # contributes the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
+                # Adjacent alive groups p < c share the breakpoint L_c; their
+                # owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
                 idx = np.where(alive, positions, -1)
                 prev = np.maximum.accumulate(idx, axis=1)
                 left = np.full_like(idx, -1)
@@ -227,56 +258,20 @@ class PureCharMarket(DemandModel):
                 rows, cs = np.nonzero(pair)
                 ps = left[rows, cs]
                 w = _phi(L[rows, cs]) / (bs[cs] - bs[ps])
-                op = order[ps]
-                oc = order[cs]
+                if owner is None:
+                    op, oc = heads[ps], heads[cs]
+                else:
+                    op, oc = owner[rows, ps], owner[rows, cs]
                 flat = np.concatenate([op * K + op, oc * K + oc, op * K + oc, oc * K + op])
                 vals = np.concatenate([w, w, -w, -w])
                 flux += np.bincount(flat, weights=vals, minlength=K * K).reshape(K, K)
 
         widths = np.empty(K)
-        widths[order] = width_sum
+        widths[heads] = width_sum
+        widths[self._members] = member_width[self._members]
         shares = widths[:J] / n
         welfare = welfare_sum / n
         jac = flux[:J, :J] / n if want_jacobian else None
-        return ModelEvaluation(welfare, shares, jac)
-
-    def _evaluate_sweep(self, a, want_jacobian):
-        """Reference evaluation: one envelope sweep per consumer.
-
-        Handles duplicate slopes; also serves as the cross-check oracle for
-        the vectorized path.
-        """
-        J = self.J
-        K = J + 1
-        b = self._slopes[:J]
-        # owner OUTSIDE = -1 indexes the trailing slot, sliced off below
-        width_sum = np.zeros(K)
-        welfare_sum = 0.0
-        flux = np.zeros((K, K)) if want_jacobian else None
-        for i in range(self.n):
-            segs = upper_envelope(
-                [(j, a[i, j], b[j]) for j in range(J)], include_zero_line=True
-            )
-            lo = np.array([s.lower for s in segs])
-            hi = np.array([s.upper for s in segs])
-            sa = np.array([s.a for s in segs])
-            sb = np.array([s.b for s in segs])
-            owners = np.array([s.owner for s in segs])
-            width = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
-            np.add.at(width_sum, owners, width)
-            welfare_sum += float(sa @ width + sb @ (_phi(lo) - _phi(hi)))
-            if want_jacobian:
-                for s in range(1, len(segs)):
-                    p = segs[s - 1].owner
-                    q = segs[s].owner
-                    w = float(_phi(segs[s].lower)) / (segs[s].b - segs[s - 1].b)
-                    flux[p, p] += w
-                    flux[q, q] += w
-                    flux[p, q] -= w
-                    flux[q, p] -= w
-        shares = width_sum[:J] / self.n
-        welfare = welfare_sum / self.n
-        jac = flux[:J, :J] / self.n if want_jacobian else None
         return ModelEvaluation(welfare, shares, jac)
 
 

@@ -1,8 +1,10 @@
 """Independent oracles the tests compare the library against.
 
-Everything here is deliberately written from the defining formulas with no
-shared code: per-consumer Python loops, raw choice simulation, and grid
-argmax. Slow and simple on purpose.
+Everything here is deliberately written from the defining formulas:
+per-consumer Python loops, raw choice simulation, and grid argmax. The only
+library code used is the public `upper_envelope` in the pure-characteristics
+sweep, and that is checked against grid argmax on its own. Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 from scipy.special import ndtr
+
+import demandinv as di
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -151,3 +155,47 @@ def purechar_share_quadrature(z, nu_rest, x, grid=None):
         win = u.max(axis=0) > 0.0
         shares += np.bincount(best[win], weights=mass[win], minlength=J)
     return shares / n
+
+
+def normal_pdf(t: float) -> float:
+    """Standard normal density of a Python float; 0 at +-inf and in the far tails."""
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
+    """Pure-characteristics evaluation by one envelope sweep per consumer.
+
+    Each consumer's lines a_ij + b_j t go through `upper_envelope` with the
+    zero line, so any slope configuration works, ties included. Shares are
+    the normal masses of the owned segments, welfare the normal moment of the
+    envelope, and every breakpoint t between segments p and q adds
+    phi(t) / (b_q - b_p) times (e_p - e_q)(e_p - e_q)' to the Jacobian.
+
+    Returns (welfare, shares, jacobian), jacobian None unless requested.
+    """
+    z = np.asarray(z, float)
+    nu_rest = np.asarray(nu_rest, float)
+    x = np.asarray(x, float)
+    n = nu_rest.shape[0]
+    J = z.shape[0]
+    a = x + nu_rest @ z[:, 1:].T
+    b = z[:, 0]
+    # owner OUTSIDE = -1 indexes the trailing slot, sliced off below
+    width = np.zeros(J + 1)
+    flux = np.zeros((J + 1, J + 1))
+    welfare = 0.0
+    for i in range(n):
+        segs = di.upper_envelope([(j, a[i, j], b[j]) for j in range(J)], include_zero_line=True)
+        for s, seg in enumerate(segs):
+            mass = max(float(ndtr(seg.upper) - ndtr(seg.lower)), 0.0)
+            width[seg.owner] += mass
+            welfare += seg.a * mass + seg.b * (normal_pdf(seg.lower) - normal_pdf(seg.upper))
+            if want_jacobian and s > 0:
+                p, q = segs[s - 1].owner, seg.owner
+                w = normal_pdf(seg.lower) / (seg.b - segs[s - 1].b)
+                flux[p, p] += w
+                flux[q, q] += w
+                flux[p, q] -= w
+                flux[q, p] -= w
+    jac = flux[:J, :J] / n if want_jacobian else None
+    return welfare / n, width[:J] / n, jac

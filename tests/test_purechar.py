@@ -1,12 +1,22 @@
 """Pure-characteristics evaluator: closed forms, Monte Carlo equivalence,
-quadrature cross-checks, and agreement between the two evaluation paths."""
+quadrature cross-checks, and agreement with the per-consumer sweep oracle on
+generic and tied slopes."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import demandinv as di
-from oracles import mc_purechar_shares, mc_standard_errors, purechar_share_quadrature
+from oracles import (
+    mc_purechar_shares,
+    mc_standard_errors,
+    purechar_share_quadrature,
+    purechar_sweep_reference,
+)
 
 
 def single_product(b, extra_cols=1, n=1):
@@ -16,6 +26,62 @@ def single_product(b, extra_cols=1, n=1):
     nu_rest = np.zeros((n, extra_cols))
     beta = np.ones(1 + extra_cols)
     return di.PureCharMarket(z=z, nu_rest=nu_rest, beta=beta)
+
+
+def tie_case(slopes, x, rest=None, n=15):
+    """Market with the given slopes, one more taste column and n consumers."""
+    slopes = np.asarray(slopes, float)
+    if rest is None:
+        rest = np.random.default_rng(slopes.size).standard_normal(slopes.size)
+    z = np.column_stack([slopes, np.asarray(rest, float)])
+    nu_rest = np.random.default_rng(7).standard_normal((n, 1))
+    return di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(2)), np.asarray(x, float)
+
+
+B = 0.5
+
+TIE_CASES = [
+    # (market, x, products whose share is exactly 0, whether the outside good never wins)
+    pytest.param(*tie_case([1.0, 1.0, -0.5], [0.2, -0.1, 0.3]), [], False, id="two_equal"),
+    pytest.param(
+        *tie_case([0.5, -1.0, 0.5, 2.0, 0.5], [0.1, 0.0, -0.2, -1.0, 0.3]), [], False,
+        id="three_equal",
+    ),
+    # product 0 is the zero line for every consumer: it beats the outside good
+    pytest.param(
+        *tie_case([0.0, 1.0], [0.0, -0.3], rest=[0.0, 0.4]), [], True, id="zero_line_tie"
+    ),
+    # products 0 and 2 coincide for every consumer: the lower index owns them
+    pytest.param(
+        *tie_case([0.5, 1.0, 0.5], [0.1, 0.0, 0.1], rest=[0.2, 0.3, 0.2]), [2], False,
+        id="coincident",
+    ),
+    pytest.param(*tie_case([0.7] * 5, [0.3, -0.2, 0.0, 0.5, 0.1]), [], False, id="all_equal"),
+    pytest.param(*tie_case([0.0] * 4, [0.3, -0.2, 0.0, 0.5]), [], False, id="all_zero"),
+    pytest.param(*tie_case([0.0], [0.2]), [], False, id="single_slope_zero"),
+    pytest.param(
+        *tie_case([B, B, np.nextafter(B, np.inf), -0.3], [0.1, 0.2, 0.2, 0.0]), [], False,
+        id="near_tie",
+    ),
+]
+
+
+def assert_matches_sweep(market, x, relative_jacobian=False):
+    """Evaluate with the Jacobian, compare with the sweep oracle, return the evaluation.
+
+    Lines one ulp apart in slope put phi(t) / ulp ~ 1e15 in the Jacobian; with
+    relative_jacobian its tolerance scales with the largest entry above 1.
+    """
+    ev = market.evaluate(x, want_jacobian=True)
+    welfare, shares, jac = purechar_sweep_reference(
+        market.z, market.nu_rest, x, want_jacobian=True
+    )
+    jac_tol = 1e-13 * max(1.0, np.max(np.abs(jac))) if relative_jacobian else 1e-13
+    assert abs(ev.welfare - welfare) <= 1e-13
+    assert np.max(np.abs(ev.shares - shares)) <= 1e-13
+    assert np.max(np.abs(ev.jacobian - jac)) <= jac_tol
+    assert np.array_equal(ev.jacobian, ev.jacobian.T)
+    return ev
 
 
 class TestClosedForms:
@@ -116,24 +182,16 @@ class TestEvaluationPaths:
     def test_sweep_matches_vectorized_on_generic_market(self):
         for seed in (1, 4, 9):
             market, x_star, _ = di.make_purechar_instance(7, 3, 40, seed=seed)
-            assert market._generic
-            a = market.intercepts(x_star)
-            fast = market._evaluate_intervals(a, True)
-            slow = market._evaluate_sweep(a, True)
-            assert abs(fast.welfare - slow.welfare) < 1e-13
-            assert np.max(np.abs(fast.shares - slow.shares)) < 1e-13
-            assert np.max(np.abs(fast.jacobian - slow.jacobian)) < 1e-13
+            assert_matches_sweep(market, x_star)
 
-    def test_duplicate_slopes_fall_back_to_sweep(self):
+    def test_duplicate_slopes_match_sweep_oracle(self):
         z = np.array([[1.0, 0.3], [1.0, -0.2], [0.5, 0.1]])
         nu_rest = np.random.default_rng(0).standard_normal((20, 1))
         market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(2))
-        assert not market._generic
         x = np.array([0.2, -0.1, 0.4])
-        ev = market.evaluate(x, want_jacobian=True)
+        ev = assert_matches_sweep(market, x)
         approx = purechar_share_quadrature(z, nu_rest, x)
         assert np.max(np.abs(ev.shares - approx)) < 1e-3
-        assert np.max(np.abs(ev.jacobian - ev.jacobian.T)) == 0.0
 
     def test_shares_plus_outside_sum_to_one(self):
         for seed in range(6):
@@ -158,6 +216,67 @@ class TestEvaluationPaths:
         assert np.array_equal(first.shares, second.shares)
         assert first.welfare == second.welfare
         assert np.array_equal(first.jacobian, second.jacobian)
+
+
+class TestTiedSlopes:
+    @pytest.mark.parametrize("market, x, zero_products, outside_loses", TIE_CASES)
+    def test_edge_cases_match_sweep(self, market, x, zero_products, outside_loses):
+        ev = assert_matches_sweep(market, x)
+        assert np.all(ev.shares[zero_products] == 0.0)
+        if outside_loses:
+            assert ev.shares.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_random_tied_and_near_tied_slopes(self, data):
+        J = data.draw(st.integers(1, 12), label="J")
+        n = data.draw(st.integers(1, 40), label="n")
+        if data.draw(st.booleans(), label="grid"):
+            # a 0.5 grid: products tie with each other and with the zero line
+            steps = data.draw(st.lists(st.integers(-4, 4), min_size=J, max_size=J))
+            slopes = 0.5 * np.array(steps, float)
+        else:
+            # one ulp apart: nearly parallel lines cross far out
+            base = data.draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0]))
+            ulps = data.draw(st.lists(st.integers(-1, 1), min_size=J, max_size=J))
+            slopes = np.array(
+                [np.nextafter(base, np.copysign(np.inf, u)) if u else base for u in ulps]
+            )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="coarse"):
+            # intercepts on a grid too, so equal-slope lines also coincide
+            rest = 0.5 * rng.integers(-2, 3, J)
+            nu_rest = 0.5 * rng.integers(-2, 3, (n, 1))
+            x = 0.5 * rng.integers(-2, 3, J)
+        else:
+            rest = rng.standard_normal(J)
+            nu_rest = rng.standard_normal((n, 1))
+            x = rng.normal(scale=2.0, size=J)
+        z = np.column_stack([slopes, rest])
+        market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(2))
+        ev = assert_matches_sweep(market, x, relative_jacobian=True)
+        assert np.all(ev.shares >= 0.0)
+        assert ev.shares.sum() <= 1.0 + 1e-12
+        off = ev.jacobian - np.diag(np.diag(ev.jacobian))
+        assert np.all(off <= 0.0)
+        scale = max(1.0, np.max(np.abs(ev.jacobian)))
+        assert np.all(ev.jacobian.sum(axis=1) >= -1e-13 * scale)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["generic", "tied"])
+    def test_extreme_utilities_raise_no_warning(self, tied):
+        market, x_star, _ = di.make_purechar_instance(10, 5, 50, seed=0)
+        if tied:
+            z = np.array(market.z)
+            z[:, 0] = np.round(z[:, 0] / B) * B
+            market = di.PureCharMarket(z=z, nu_rest=market.nu_rest, beta=market.beta)
+            assert np.unique(z[:, 0]).size < z.shape[0]
+        signs = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (x_star + 1e200, 1e200 * signs):
+                ev = market.evaluate(x, want_jacobian=True)
+                assert np.all(np.isfinite(ev.shares)) and np.isfinite(ev.welfare)
+                assert np.all(np.isfinite(ev.jacobian))
 
 
 class TestInstanceConstruction:
