@@ -16,7 +16,6 @@ from .core import (
     as_mean_utility,
     as_share_vector,
     convex_objective,
-    finite_difference_gradient,
 )
 from .harness import (
     WORKERS_ENV,
@@ -74,7 +73,6 @@ __all__ = [
     "convex_objective",
     "convex_trust_region_invert",
     "empirical_rate",
-    "finite_difference_gradient",
     "invert",
     "make_logit_instance",
     "make_purechar_instance",

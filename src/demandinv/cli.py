@@ -28,6 +28,7 @@ from .modelio import (
     load_model,
     load_shares,
     load_truth,
+    load_vector,
     manifest_dict,
     read_json,
     save_model,
@@ -128,14 +129,8 @@ def _parse_x0(arg, model_path, J: int, x0_seed: int):
             raise InvalidInputError(f"bad perturbation norm in {arg!r}") from None
         x_star, _ = load_truth(truth_path_for(model_path))
         return perturb_start(x_star, norm, x0_seed)
-    doc = read_json(arg)
-    if isinstance(doc, dict):
-        values = doc.get("x0", doc.get("x_star"))
-        if values is None:
-            raise InvalidInputError("x0 file needs an 'x0' or 'x_star' key")
-    else:
-        values = doc
-    return as_mean_utility(values, J)
+    missing = "x0 file needs an 'x0' or 'x_star' key"
+    return as_mean_utility(load_vector(arg, ("x0", "x_star"), missing), J)
 
 
 def cmd_invert(args) -> int:

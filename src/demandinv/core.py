@@ -22,13 +22,22 @@ class UnsupportedTargetError(InvalidInputError):
     """Target share vector that the selected method cannot handle."""
 
 
+def as_float_array(value, name: str) -> np.ndarray:
+    """np.asarray(value, dtype=float), raising InvalidInputError for strings
+    and ragged nesting."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
+
+
 def as_mean_utility(x, J: int | None = None) -> np.ndarray:
     """Validate and return a mean-utility vector as a float64 array.
 
     Rejects NaN/infinite coordinates eagerly so solvers can tell model
     failures apart from bad steps.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(as_float_array(x, "mean utility"))
     if x.ndim != 1:
         raise InvalidInputError(f"mean utility must be a vector, got shape {x.shape}")
     if J is not None and x.shape[0] != J:
@@ -44,7 +53,7 @@ def as_share_vector(s, J: int | None = None, atol: float = SIMPLEX_ATOL) -> np.n
     `atol` absorbs float round-off; genuine violations raise InvalidInputError
     naming the offending coordinate.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s = np.atleast_1d(as_float_array(s, "share vector"))
     if s.ndim != 1:
         raise InvalidInputError(f"share vector must be a vector, got shape {s.shape}")
     if J is not None and s.shape[0] != J:
@@ -62,7 +71,7 @@ def as_share_vector(s, J: int | None = None, atol: float = SIMPLEX_ATOL) -> np.n
 
 def set_frozen_array(obj, name: str, value, shape=None) -> np.ndarray:
     """Coerce a frozen-dataclass field to a validated read-only float array."""
-    arr = np.array(value, dtype=float)
+    arr = np.array(as_float_array(value, name))
     if shape is not None and arr.shape != shape:
         raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -138,17 +147,3 @@ def convex_objective(
     gradient = ev.shares - target
     return value, gradient, (ev.jacobian if want_hessian else None)
 
-
-def finite_difference_gradient(model: DemandModel, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of welfare; test oracle for the share identity."""
-    if not step > 0:
-        raise InvalidInputError("step must be positive")
-    x = as_mean_utility(x, model.J)
-    grad = np.empty(model.J)
-    for j in range(model.J):
-        hi = x.copy()
-        lo = x.copy()
-        hi[j] += step
-        lo[j] -= step
-        grad[j] = (model.evaluate(hi).welfare - model.evaluate(lo).welfare) / (2.0 * step)
-    return grad

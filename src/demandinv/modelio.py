@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidInputError, as_mean_utility, as_share_vector
+from .core import InvalidInputError, as_float_array, as_mean_utility, as_share_vector
 from .harness import DegeneracyStats, ExperimentSpec, TraceBand
 from .logit import LogitMarket
 from .purechar import PureCharMarket
@@ -24,17 +25,20 @@ from .solvers import InversionResult, SolverConfig
 
 ARTIFACT_VERSION = "1"
 
-TRACE_COLUMNS = (
-    "replication_id",
-    "method",
-    "iteration",
-    "error_maxnorm",
-    "welfare_evals",
-    "share_evals",
-    "jacobian_evals",
-)
+# trace.csv columns, in file order, with the type each is read back as.
+_TRACE_TYPES = {
+    "replication_id": int,
+    "method": str,
+    "iteration": int,
+    "error_maxnorm": float,
+    "welfare_evals": int,
+    "share_evals": int,
+    "jacobian_evals": int,
+}
+TRACE_COLUMNS = tuple(_TRACE_TYPES)
 
 _MODEL_KEYS = {"family", "J", "M", "n", "beta", "z", "nu", "seed"}
+_SPEC_INTEGERS = ("J", "M", "n", "replications", "master_seed")
 _SPEC_KEYS = {
     "model_family",
     "J",
@@ -71,6 +75,19 @@ def _reject_unknown(doc: dict, allowed, what: str) -> None:
         raise InvalidInputError(f"{what} has unknown keys: {', '.join(unknown)}")
 
 
+def _typed(doc: dict, key: str, what: str, expected: str, valid):
+    """doc[key], or InvalidInputError unless valid(doc[key]); JSON booleans
+    never count as numbers."""
+    value = doc[key]
+    if isinstance(value, bool) or not valid(value):
+        raise InvalidInputError(f"{what}: {key!r} must be {expected}, got {value!r:.40}")
+    return value
+
+
+def _integer(doc: dict, key: str, what: str) -> int:
+    return _typed(doc, key, what, "an integer", lambda v: isinstance(v, int))
+
+
 # ---------------------------------------------------------------------------
 # model files
 
@@ -102,10 +119,8 @@ def market_from_dict(doc):
     _require(doc, ("family", "J", "M", "n", "beta", "z", "nu"), "model file")
     _reject_unknown(doc, _MODEL_KEYS, "model file")
     family = doc["family"]
-    J, M, n = int(doc["J"]), int(doc["M"]), int(doc["n"])
-    z = np.asarray(doc["z"], dtype=float)
-    nu = np.asarray(doc["nu"], dtype=float)
-    beta = np.asarray(doc["beta"], dtype=float)
+    J, M, n = (_integer(doc, key, "model file") for key in ("J", "M", "n"))
+    z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
     if z.shape != (J, M):
         raise InvalidInputError(f"z has shape {z.shape}, expected ({J}, {M})")
     if family == "logit":
@@ -149,17 +164,24 @@ def load_truth(path):
     return as_mean_utility(doc["x_star"]), as_share_vector(doc["sigma_star"])
 
 
+def load_vector(path, keys, missing: str):
+    """Vector values from a JSON file holding a bare array, or an object with
+    the values under the first of `keys` present; `missing` is the error
+    message when the object has none of them."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        return doc
+    values = next((doc[key] for key in keys if doc.get(key) is not None), None)
+    if values is None:
+        raise InvalidInputError(missing)
+    return values
+
+
 def load_shares(path):
     """Share vector from a JSON file: a bare array, or an object with a
     'shares' or 'sigma_star' key (truth sidecars work directly)."""
-    doc = read_json(path)
-    if isinstance(doc, dict):
-        values = doc.get("shares", doc.get("sigma_star"))
-        if values is None:
-            raise InvalidInputError("shares file needs a 'shares' or 'sigma_star' key")
-    else:
-        values = doc
-    return as_share_vector(values)
+    missing = "shares file needs a 'shares' or 'sigma_star' key"
+    return as_share_vector(load_vector(path, ("shares", "sigma_star"), missing))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +189,6 @@ def load_shares(path):
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    cfg = spec.solver_cfg
     return {
         "model_family": spec.model_family,
         "J": spec.J,
@@ -177,25 +198,16 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         "methods": list(spec.methods),
         "delta_norm": spec.delta_norm,
         "master_seed": spec.master_seed,
-        "solver": {
-            "max_iterations": cfg.max_iterations,
-            "gradient_tolerance": cfg.gradient_tolerance,
-            "initial_radius": cfg.initial_radius,
-            "radius_max": cfg.radius_max,
-            "accept_ratio": cfg.accept_ratio,
-            "expand_ratio": cfg.expand_ratio,
-            "shrink_factor": cfg.shrink_factor,
-            "expand_factor": cfg.expand_factor,
-            "regularization_floor": cfg.regularization_floor,
-        },
+        "solver": dataclasses.asdict(spec.solver_cfg),
     }
 
 
 def spec_from_dict(doc) -> ExperimentSpec:
+    what = "experiment spec"
     if not isinstance(doc, dict):
-        raise InvalidInputError("experiment spec must hold a JSON object")
-    _require(doc, ("model_family", "J", "M", "n", "replications"), "experiment spec")
-    _reject_unknown(doc, _SPEC_KEYS, "experiment spec")
+        raise InvalidInputError(f"{what} must hold a JSON object")
+    _require(doc, ("model_family", "J", "M", "n", "replications"), what)
+    _reject_unknown(doc, _SPEC_KEYS, what)
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
         raise InvalidInputError("'solver' must be an object of SolverConfig fields")
@@ -203,21 +215,17 @@ def spec_from_dict(doc) -> ExperimentSpec:
         solver_cfg = SolverConfig(**solver_doc)
     except TypeError as exc:
         raise InvalidInputError(f"bad solver settings: {exc}") from None
-    kwargs = {}
+    kwargs = {key: _integer(doc, key, what) for key in _SPEC_INTEGERS if key in doc}
     if "methods" in doc:
-        kwargs["methods"] = tuple(doc["methods"])
+        names = _typed(
+            doc, "methods", what, "a list of method names",
+            lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+        )
+        kwargs["methods"] = tuple(names)
     if "delta_norm" in doc:
-        kwargs["delta_norm"] = float(doc["delta_norm"])
-    return ExperimentSpec(
-        model_family=doc["model_family"],
-        J=int(doc["J"]),
-        M=int(doc["M"]),
-        n=int(doc["n"]),
-        replications=int(doc["replications"]),
-        solver_cfg=solver_cfg,
-        master_seed=int(doc.get("master_seed", 0)),
-        **kwargs,
-    )
+        number = _typed(doc, "delta_norm", what, "a number", lambda v: isinstance(v, (int, float)))
+        kwargs["delta_norm"] = float(number)
+    return ExperimentSpec(model_family=doc["model_family"], solver_cfg=solver_cfg, **kwargs)
 
 
 def spec_sha256(spec: ExperimentSpec) -> str:
@@ -237,19 +245,9 @@ def write_trace_csv(path, results: dict) -> None:
         writer.writerow(TRACE_COLUMNS)
         for method, replication in sorted(results):
             res: InversionResult = results[(method, replication)]
-            for k in range(res.error_trace.size):
-                welfare, shares, jacobian = res.eval_trace[k]
-                writer.writerow(
-                    [
-                        replication,
-                        method,
-                        k,
-                        repr(float(res.error_trace[k])),
-                        int(welfare),
-                        int(shares),
-                        int(jacobian),
-                    ]
-                )
+            rows = zip(res.error_trace.tolist(), res.eval_trace.tolist())
+            for k, (error, evals) in enumerate(rows):
+                writer.writerow([replication, method, k, repr(error), *evals])
 
 
 def read_trace_csv(path) -> list[dict]:
@@ -257,20 +255,7 @@ def read_trace_csv(path) -> list[dict]:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
             raise InvalidInputError(f"trace CSV has unexpected header {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "replication_id": int(row["replication_id"]),
-                    "method": row["method"],
-                    "iteration": int(row["iteration"]),
-                    "error_maxnorm": float(row["error_maxnorm"]),
-                    "welfare_evals": int(row["welfare_evals"]),
-                    "share_evals": int(row["share_evals"]),
-                    "jacobian_evals": int(row["jacobian_evals"]),
-                }
-            )
-        return rows
+        return [{col: kind(row[col]) for col, kind in _TRACE_TYPES.items()} for row in reader]
 
 
 def bands_to_dict(bands: TraceBand) -> dict:

@@ -95,21 +95,25 @@ def upper_envelope(lines, include_zero_line: bool = True) -> list[EnvelopeSegmen
     cand = sorted(best.values(), key=lambda e: e[2])
 
     # Convex-hull-style sweep in slope order: pop the stack top whenever the
-    # incoming line overtakes it at or before the top's own start.
-    stack = [cand[0]]
-    starts = [-math.inf]
-    for ent in cand[1:]:
+    # incoming line overtakes it at or before the top's own start. Slopes a
+    # subnormal apart cross at +-inf: a line that empties the stack starts at
+    # -inf, and one that overtakes the top only at +inf never wins.
+    stack = []
+    starts = []
+    for ent in cand:
         _, a, b = ent
-        while True:
+        t = -math.inf
+        while stack:
             _, ta, tb = stack[-1]
             t = (ta - a) / (b - tb)
-            if t <= starts[-1]:
-                stack.pop()
-                starts.pop()
-            else:
+            if t > starts[-1]:
                 break
-        stack.append(ent)
-        starts.append(t)
+            stack.pop()
+            starts.pop()
+            t = -math.inf
+        if t < math.inf:
+            stack.append(ent)
+            starts.append(t)
 
     uppers = starts[1:] + [math.inf]
     return [
@@ -229,7 +233,10 @@ class PureCharMarket(DemandModel):
         chunk = max(1, int(2_000_000) // (G * G))
         for i0 in range(0, n, chunk):
             A, owner = self._group_lines(a[i0 : i0 + chunk])
-            cross = (A[:, None, :] - A[:, :, None]) / diffb
+            # Slopes a subnormal apart overflow to an infinite crossing, which
+            # is the right value.
+            with np.errstate(over="ignore"):
+                cross = (A[:, None, :] - A[:, :, None]) / diffb
             L = np.where(lower_mask, cross, -np.inf).max(axis=2)
             R = np.where(upper_mask, cross, np.inf).min(axis=2)
             alive = L < R

@@ -84,14 +84,21 @@ class InversionResult:
             object.__setattr__(self, name, arr)
 
 
-def _result(best_x, best_err, trace, evals, counts, tolerance) -> InversionResult:
+# Which of (welfare, shares, jacobian) each method computes on every model
+# evaluation: per-kind counts are the number of evaluations times these flags.
+_KIND_MASK = {"contraction": (0, 1, 0), "convex_tr": (1, 1, 1), "residual_tr": (0, 1, 1)}
+
+
+def _result(method, best_x, best_err, trace, evals, total, cfg) -> InversionResult:
+    """evals[k]: evaluations made when iterate k was accepted; total: all made."""
+    mask = np.array(_KIND_MASK[method], dtype=np.int64)
     return InversionResult(
         x_final=np.array(best_x),
-        converged=best_err <= tolerance,
+        converged=best_err <= cfg.gradient_tolerance,
         iterations_used=len(trace) - 1,
         error_trace=np.array(trace),
-        eval_counts=dict(counts),
-        eval_trace=np.array(evals, dtype=np.int64),
+        eval_counts=dict(zip(("welfare", "shares", "jacobian"), (total * mask).tolist())),
+        eval_trace=np.outer(evals, mask),
     )
 
 
@@ -109,31 +116,25 @@ def contraction_invert(model: DemandModel, sigma_star, x0=None, cfg: SolverConfi
             "unsupported target for contraction: every share must be > 0 with sum < 1"
         )
     x = np.zeros(model.J) if x0 is None else np.array(as_mean_utility(x0, model.J))
-    counts = {"welfare": 0, "shares": 0, "jacobian": 0}
 
     shares = model.evaluate(x).shares
-    counts["shares"] += 1
     best_err = float(np.abs(shares - target).max())
     best_x = x.copy()
     trace = [best_err]
-    evals = [(counts["welfare"], counts["shares"], counts["jacobian"])]
 
     log_target = np.log(target)
-    iteration = 0
-    while best_err > cfg.gradient_tolerance and iteration < cfg.max_iterations:
+    while best_err > cfg.gradient_tolerance and len(trace) <= cfg.max_iterations:
         if np.any(shares == 0.0):
             break  # log undefined: report a diverged run, not an exception
         x = x + log_target - np.log(shares)
         shares = model.evaluate(x).shares
-        counts["shares"] += 1
-        iteration += 1
         err = float(np.abs(shares - target).max())
         if err < best_err:
             best_err = err
             best_x = x.copy()
         trace.append(best_err)
-        evals.append((counts["welfare"], counts["shares"], counts["jacobian"]))
-    return _result(best_x, best_err, trace, evals, counts, cfg.gradient_tolerance)
+    evals = range(1, len(trace) + 1)  # one evaluation per iterate
+    return _result("contraction", best_x, best_err, trace, evals, len(trace), cfg)
 
 
 def _to_boundary(z, d, radius) -> float:
@@ -209,7 +210,7 @@ def _cauchy_reduction(g, B, radius) -> float:
     return -(float(g @ p) + 0.5 * float(p @ (B @ p)))
 
 
-def _trust_region_invert(model, sigma_star, x0, cfg, state):
+def _trust_region_invert(method, model, x0, cfg, state):
     """Shared trust-region driver.
 
     `state(x)` performs one full model evaluation and returns
@@ -217,13 +218,14 @@ def _trust_region_invert(model, sigma_star, x0, cfg, state):
     error, and a magnitude scale for the round-off guard below.
 
     max_iterations bounds trial steps; only accepted steps extend the trace.
+    Each trial makes one evaluation, so trials + 1 have been made in all.
     """
     x = np.array(as_mean_utility(x0, model.J))
     f, g, B, err, scale = state(x)
     best_err = err
     best_x = x.copy()
     trace = [best_err]
-    evals = [state.snapshot()]
+    evals = [1]
     radius = cfg.initial_radius
 
     trials = 0
@@ -255,65 +257,47 @@ def _trust_region_invert(model, sigma_star, x0, cfg, state):
                 best_err = err
                 best_x = x.copy()
             trace.append(best_err)
-            evals.append(state.snapshot())
+            evals.append(trials + 1)
             if rho >= cfg.expand_ratio and hit_boundary:
                 radius = min(cfg.expand_factor * radius, cfg.radius_max)
         else:
             radius = cfg.shrink_factor * radius
-    return _result(best_x, best_err, trace, evals, state.counts, cfg.gradient_tolerance)
+    return _result(method, best_x, best_err, trace, evals, trials + 1, cfg)
 
 
-class _ConvexState:
+def _convex_state(model, target):
     """f(x) = U(x) - x'target: gradient sigma(x) - target, Hessian dsigma/dx."""
 
-    def __init__(self, model, target):
-        self.model = model
-        self.target = target
-        self.counts = {"welfare": 0, "shares": 0, "jacobian": 0}
-
-    def __call__(self, x):
-        ev = self.model.evaluate(x, want_jacobian=True)
-        self.counts["welfare"] += 1
-        self.counts["shares"] += 1
-        self.counts["jacobian"] += 1
-        inner = float(x @ self.target)
+    def state(x):
+        ev = model.evaluate(x, want_jacobian=True)
+        inner = float(x @ target)
         f = ev.welfare - inner
-        g = ev.shares - self.target
+        g = ev.shares - target
         err = float(np.abs(g).max())
         scale = abs(ev.welfare) + abs(inner)
         return f, g, ev.jacobian, err, scale
 
-    def snapshot(self):
-        return (self.counts["welfare"], self.counts["shares"], self.counts["jacobian"])
+    return state
 
 
-class _ResidualState:
+def _residual_state(model, target, floor):
     """f(x) = 0.5*||sigma(x) - target||^2 with the Gauss-Newton Hessian J'J,
     floored by a Levenberg shift when J is near-singular."""
 
-    def __init__(self, model, target, floor):
-        self.model = model
-        self.target = target
-        self.floor = floor
-        self.counts = {"welfare": 0, "shares": 0, "jacobian": 0}
-
-    def __call__(self, x):
-        ev = self.model.evaluate(x, want_jacobian=True)
-        self.counts["shares"] += 1
-        self.counts["jacobian"] += 1
-        r = ev.shares - self.target
+    def state(x):
+        ev = model.evaluate(x, want_jacobian=True)
+        r = ev.shares - target
         jac = ev.jacobian
         f = 0.5 * float(r @ r)
         g = jac.T @ r
         B = jac.T @ jac
-        if np.linalg.eigvalsh(B)[0] < self.floor:
-            B = B + self.floor * np.eye(B.shape[0])
+        if np.linalg.eigvalsh(B)[0] < floor:
+            B = B + floor * np.eye(B.shape[0])
         err = float(np.abs(r).max())
         scale = float(np.abs(r).sum())
         return f, g, B, err, scale
 
-    def snapshot(self):
-        return (self.counts["welfare"], self.counts["shares"], self.counts["jacobian"])
+    return state
 
 
 def convex_trust_region_invert(
@@ -330,7 +314,7 @@ def convex_trust_region_invert(
     cfg = cfg if cfg is not None else SolverConfig()
     target = as_share_vector(sigma_star, model.J)
     x0 = np.zeros(model.J) if x0 is None else x0
-    return _trust_region_invert(model, target, x0, cfg, _ConvexState(model, target))
+    return _trust_region_invert("convex_tr", model, x0, cfg, _convex_state(model, target))
 
 
 def residual_trust_region_invert(
@@ -345,9 +329,8 @@ def residual_trust_region_invert(
     cfg = cfg if cfg is not None else SolverConfig()
     target = as_share_vector(sigma_star, model.J)
     x0 = np.zeros(model.J) if x0 is None else x0
-    return _trust_region_invert(
-        model, target, x0, cfg, _ResidualState(model, target, cfg.regularization_floor)
-    )
+    state = _residual_state(model, target, cfg.regularization_floor)
+    return _trust_region_invert("residual_tr", model, x0, cfg, state)
 
 
 METHODS = ("contraction", "convex_tr", "residual_tr")

@@ -42,6 +42,19 @@ def logit_reference(z, nu, x):
     return welfare / n + EULER_GAMMA, shares / n, jac / n
 
 
+def finite_difference_gradient(model, x, step=1e-5):
+    """Central-difference gradient of welfare, one coordinate at a time."""
+    x = np.asarray(x, float)
+    grad = np.empty(x.size)
+    for j in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[j] += step
+        lo[j] -= step
+        grad[j] = (model.evaluate(hi).welfare - model.evaluate(lo).welfare) / (2.0 * step)
+    return grad
+
+
 def mc_logit_shares(z, nu, x, rounds, seed):
     """Choice-simulated logit shares: every consumer draws `rounds` vectors of
     independent Gumbel shocks (one per product and one for the outside good)

@@ -15,7 +15,12 @@ from conftest import record_criterion
 from demandinv import modelio
 from demandinv.cli import EXIT_OK, main
 from demandinv.solvers import _tr_step
-from oracles import mc_logit_shares, mc_purechar_shares, mc_standard_errors
+from oracles import (
+    finite_difference_gradient,
+    mc_logit_shares,
+    mc_purechar_shares,
+    mc_standard_errors,
+)
 
 MASTER_SEED = 7
 
@@ -78,7 +83,7 @@ def test_criterion_1_gradient_identity():
             market, x_star, _ = maker(J, M, n, seed=i)
             for _ in range(5):
                 x = x_star + rng.normal(scale=1.0, size=J)
-                fd = di.finite_difference_gradient(market, x)
+                fd = finite_difference_gradient(market, x)
                 shares = market.evaluate(x).shares
                 worst = max(worst, float(np.max(np.abs(fd - shares))))
     elapsed = time.perf_counter() - start

@@ -236,6 +236,28 @@ class TestInvert:
         assert code == EXIT_USAGE
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("J", "x", "an integer, got 'x'"),
+            ("z", [["a"], ["b"], ["c"]], "a rectangular array of numbers"),
+            ("z", [[0.1, 0.2], [0.3], [0.4, 0.5]], "a rectangular array of numbers"),
+        ],
+        ids=["J_string", "z_strings", "z_ragged"],
+    )
+    def test_mistyped_model_field_is_usage_error(self, tmp_path, capsys, key, value, expected):
+        model_path = generate(tmp_path)
+        doc = modelio.read_json(model_path)
+        doc[key] = value
+        modelio.write_json(model_path, doc)
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", "0.2,0.2,0.2", "--out", tmp_path / "r.json"
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: model file: {key!r} must be {expected}\n"
+
     def test_gibberish_inline_shares(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(
@@ -313,6 +335,20 @@ class TestSimulate:
         code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
         assert code == EXIT_USAGE
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("replications", "two", "an integer"), ("methods", "convex_tr", "a list of method names")],
+        ids=["replications_string", "methods_string"],
+    )
+    def test_mistyped_spec_field_is_usage_error(self, tmp_path, capsys, key, value, expected):
+        doc = self.spec_doc()
+        doc[key] = value
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: experiment spec: {key!r} must be {expected}, got {value!r}\n"
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli("simulate", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "r")

@@ -97,6 +97,18 @@ class TestEdgeCases:
         with pytest.raises(di.InvalidInputError):
             di.upper_envelope([(0, 0.0, math.inf)], include_zero_line=True)
 
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    @pytest.mark.parametrize("b", [5e-324, -5e-324])
+    def test_subnormal_slope_against_zero_line(self, a, b):
+        # the crossing with the zero line overflows to +-inf
+        lines = [(0, a, b)]
+        segs = di.upper_envelope(lines, include_zero_line=True)
+        check_structure(segs)
+        assert all(seg.lower < seg.upper for seg in segs)
+        ts = np.linspace(-1e300, 1e300, 101)
+        expected = grid_argmax_owner(lines, True, ts)
+        assert np.array_equal([owner_at(segs, t) for t in ts], expected)
+
     def test_many_parallel_lines(self):
         lines = [(j, float(j), 1.0) for j in range(5)]
         segs = di.upper_envelope(lines, include_zero_line=True)

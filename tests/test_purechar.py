@@ -63,6 +63,11 @@ TIE_CASES = [
         *tie_case([B, B, np.nextafter(B, np.inf), -0.3], [0.1, 0.2, 0.2, 0.0]), [], False,
         id="near_tie",
     ),
+    # product 0's slope is a subnormal away from the zero line's: they cross
+    # at +-inf, and the crossing overflows to it
+    pytest.param(
+        *tie_case([5e-324, 1.0], [0.0, -0.2], rest=[0.3, 0.1]), [], False, id="subnormal_slope"
+    ),
 ]
 
 

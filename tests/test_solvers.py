@@ -368,3 +368,37 @@ class TestNewtonEquivalence:
             assert np.max(np.abs(p_convex - p_newton)) <= 1e-10 * max(
                 1.0, np.max(np.abs(p_newton))
             )
+
+
+# Exact solver work on two small seeded markets, started at a norm-10
+# perturbation of x*, per (family, method, trial budget): (eval_counts,
+# iterations_used, eval_trace[0], eval_trace[-1]). With a budget of 5 the last
+# trust-region trial is rejected, so eval_counts exceed eval_trace[-1]. Any
+# change to how much a solver evaluates, or to how that work is counted,
+# shows up here.
+PINNED_WORK = {
+    ("logit", "contraction", 60): ((0, 61, 0), 60, (0, 1, 0), (0, 61, 0)),
+    ("logit", "convex_tr", 5): ((6, 6, 6), 4, (1, 1, 1), (5, 5, 5)),
+    ("logit", "convex_tr", 60): ((12, 12, 12), 10, (1, 1, 1), (12, 12, 12)),
+    ("logit", "residual_tr", 5): ((0, 6, 6), 4, (0, 1, 1), (0, 5, 5)),
+    ("logit", "residual_tr", 60): ((0, 11, 11), 9, (0, 1, 1), (0, 11, 11)),
+    ("purechar", "contraction", 60): ((0, 1, 0), 0, (0, 1, 0), (0, 1, 0)),
+    ("purechar", "convex_tr", 5): ((6, 6, 6), 4, (1, 1, 1), (5, 5, 5)),
+    ("purechar", "convex_tr", 60): ((22, 22, 22), 17, (1, 1, 1), (22, 22, 22)),
+    ("purechar", "residual_tr", 60): ((0, 61, 61), 60, (0, 1, 1), (0, 61, 61)),
+}
+
+
+@pytest.mark.parametrize("family, method, budget", sorted(PINNED_WORK), ids=str)
+def test_pinned_solver_work(family, method, budget):
+    if family == "logit":
+        market, x_star, sigma_star = di.make_logit_instance(4, 2, 30, seed=2)
+    else:
+        market, x_star, sigma_star = di.make_purechar_instance(4, 3, 30, seed=0)
+    x0 = di.perturb_start(x_star, 10.0, seed=1)
+    cfg = di.SolverConfig(max_iterations=budget)
+    res = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+    counts, iterations, first, last = PINNED_WORK[(family, method, budget)]
+    assert res.eval_counts == dict(zip(("welfare", "shares", "jacobian"), counts))
+    assert res.iterations_used == iterations
+    assert res.eval_trace[[0, -1]].tolist() == [list(first), list(last)]
