@@ -47,11 +47,11 @@ def as_mean_utility(x, J: int | None = None) -> np.ndarray:
     return x
 
 
-def as_share_vector(s, J: int | None = None, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def as_share_vector(s, J: int | None = None) -> np.ndarray:
     """Validate a vector of inside-good shares: finite, >= 0, coordinate sum <= 1.
 
-    `atol` absorbs float round-off; genuine violations raise InvalidInputError
-    naming the offending coordinate.
+    SIMPLEX_ATOL absorbs float round-off; genuine violations raise
+    InvalidInputError naming the offending coordinate.
     """
     s = np.atleast_1d(as_float_array(s, "share vector"))
     if s.ndim != 1:
@@ -60,11 +60,11 @@ def as_share_vector(s, J: int | None = None, atol: float = SIMPLEX_ATOL) -> np.n
         raise InvalidInputError(f"share vector has dimension {s.shape[0]}, expected {J}")
     if not np.all(np.isfinite(s)):
         raise InvalidInputError("share vector has NaN or infinite coordinates")
-    bad = np.nonzero(s < -atol)[0]
+    bad = np.nonzero(s < -SIMPLEX_ATOL)[0]
     if bad.size:
         raise InvalidInputError(f"share coordinate {bad[0]} is negative ({s[bad[0]]!r})")
     total = float(s.sum())
-    if total > 1.0 + atol:
+    if total > 1.0 + SIMPLEX_ATOL:
         raise InvalidInputError(f"shares sum to {total!r} > 1 (outside share would be negative)")
     return s
 

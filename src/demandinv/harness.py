@@ -24,6 +24,9 @@ WORKERS_ENV = "DEMANDINV_WORKERS"
 
 _MAKERS = {"logit": make_logit_instance, "purechar": make_purechar_instance}
 
+# A target coordinate (inside or outside share) below this counts as degenerate.
+DEGENERACY_THRESHOLD = 1e-14
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -92,7 +95,7 @@ class DegeneracyStats:
     outside_share: np.ndarray
     min_overall: np.ndarray
 
-    def fraction_below(self, threshold: float = 1e-14) -> float:
+    def fraction_below(self, threshold: float = DEGENERACY_THRESHOLD) -> float:
         """Share of replications whose min_overall is below threshold."""
         return float(np.mean(self.min_overall < threshold))
 

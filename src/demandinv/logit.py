@@ -62,14 +62,8 @@ class LogitMarket(DemandModel):
         exact zero shares.
         """
         x = as_mean_utility(x, self.J)
-        return self._evaluate_shifted(x, want_jacobian=want_jacobian)
-
-    def _evaluate_shifted(self, x, want_jacobian=False, shift=None) -> ModelEvaluation:
-        # shift=None applies the standard per-consumer guard; tests may pass
-        # an explicit shift to confirm the stabilization is value-preserving.
         v = self.nu @ self.z.T + x  # (n, J) systematic utilities
-        if shift is None:
-            shift = np.maximum(v.max(axis=1), 0.0)
+        shift = np.maximum(v.max(axis=1), 0.0)
         expv = np.exp(v - shift[:, None])
         denom = np.exp(-shift) + expv.sum(axis=1)
         log_denom = shift + np.log(denom)

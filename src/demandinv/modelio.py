@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import InvalidInputError, as_float_array, as_mean_utility, as_share_vector
-from .harness import DegeneracyStats, ExperimentSpec, TraceBand
+from .harness import DEGENERACY_THRESHOLD, DegeneracyStats, ExperimentSpec, TraceBand
 from .logit import LogitMarket
 from .purechar import PureCharMarket
 from .solvers import InversionResult, SolverConfig
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 # trace.csv columns, in file order, with the type each is read back as.
 _TRACE_TYPES = {
@@ -86,6 +86,10 @@ def _typed(doc: dict, key: str, what: str, expected: str, valid):
 
 def _integer(doc: dict, key: str, what: str) -> int:
     return _typed(doc, key, what, "an integer", lambda v: isinstance(v, int))
+
+
+def _number(doc: dict, key: str, what: str) -> float:
+    return float(_typed(doc, key, what, "a number", lambda v: isinstance(v, (int, float))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +215,9 @@ def spec_from_dict(doc) -> ExperimentSpec:
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
         raise InvalidInputError("'solver' must be an object of SolverConfig fields")
+    for key, check in (("max_iterations", _integer), ("gradient_tolerance", _number)):
+        if key in solver_doc:
+            check(solver_doc, key, f"{what} solver")
     try:
         solver_cfg = SolverConfig(**solver_doc)
     except TypeError as exc:
@@ -223,8 +230,7 @@ def spec_from_dict(doc) -> ExperimentSpec:
         )
         kwargs["methods"] = tuple(names)
     if "delta_norm" in doc:
-        number = _typed(doc, "delta_norm", what, "a number", lambda v: isinstance(v, (int, float)))
-        kwargs["delta_norm"] = float(number)
+        kwargs["delta_norm"] = _number(doc, "delta_norm", what)
     return ExperimentSpec(model_family=doc["model_family"], solver_cfg=solver_cfg, **kwargs)
 
 
@@ -272,10 +278,10 @@ def bands_to_dict(bands: TraceBand) -> dict:
     return {"iterations": [int(i) for i in bands.iterations], "methods": methods}
 
 
-def degeneracy_to_dict(deg: DegeneracyStats, threshold: float = 1e-14) -> dict:
+def degeneracy_to_dict(deg: DegeneracyStats) -> dict:
     return {
-        "threshold": threshold,
-        "fraction_below": deg.fraction_below(threshold),
+        "threshold": DEGENERACY_THRESHOLD,
+        "fraction_below": deg.fraction_below(),
         "replications": [
             {
                 "replication_id": r,

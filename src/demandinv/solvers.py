@@ -27,36 +27,31 @@ PD_SWITCH = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
+# Trust-region radius schedule: start and cap, the rho = actual/predicted
+# reduction that accepts a step or grows the radius, and the resize factors.
+INITIAL_RADIUS = 1.0
+RADIUS_MAX = 1e6
+ACCEPT_RATIO = 0.1
+EXPAND_RATIO = 0.75
+SHRINK_FACTOR = 0.25
+EXPAND_FACTOR = 2.0
+
+# residual_tr's Levenberg shift, added when the smallest eigenvalue of J'J is below it.
+REGULARIZATION_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance, and trust-region constants."""
+    """Trial-step budget and stopping tolerance on the max share error."""
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-13
-    initial_radius: float = 1.0
-    radius_max: float = 1e6
-    accept_ratio: float = 0.1
-    expand_ratio: float = 0.75
-    shrink_factor: float = 0.25
-    expand_factor: float = 2.0
-    regularization_floor: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise InvalidInputError("max_iterations must be >= 0")
-        if not self.gradient_tolerance > 0:
-            raise InvalidInputError("gradient_tolerance must be > 0")
-        if not (self.initial_radius > 0 and self.radius_max > 0):
-            raise InvalidInputError("trust-region radii must be > 0")
-        if not 0 < self.accept_ratio <= 0.25:
-            raise InvalidInputError("accept_ratio must lie in (0, 1/4]")
-        if not self.accept_ratio <= self.expand_ratio:
-            raise InvalidInputError("expand_ratio must be >= accept_ratio")
-        if not 0 < self.shrink_factor < 1 < self.expand_factor:
-            raise InvalidInputError("need 0 < shrink_factor < 1 < expand_factor")
-        if not self.regularization_floor > 0:
-            raise InvalidInputError("regularization_floor must be > 0")
+        if not 0 < self.gradient_tolerance < math.inf:
+            raise InvalidInputError("gradient_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +221,7 @@ def _trust_region_invert(method, model, x0, cfg, state):
     best_x = x.copy()
     trace = [best_err]
     evals = [1]
-    radius = cfg.initial_radius
+    radius = INITIAL_RADIUS
 
     trials = 0
     while best_err > cfg.gradient_tolerance and trials < cfg.max_iterations:
@@ -250,7 +245,7 @@ def _trust_region_invert(method, model, x0, cfg, state):
             rho = -math.inf
         else:
             rho = actual / pred
-        if rho >= cfg.accept_ratio:
+        if rho >= ACCEPT_RATIO:
             hit_boundary = float(np.linalg.norm(p)) >= (1.0 - 1e-6) * radius
             x, f, g, B, err, scale = x_trial, f_t, g_t, B_t, err_t, scale_t
             if err < best_err:
@@ -258,10 +253,10 @@ def _trust_region_invert(method, model, x0, cfg, state):
                 best_x = x.copy()
             trace.append(best_err)
             evals.append(trials + 1)
-            if rho >= cfg.expand_ratio and hit_boundary:
-                radius = min(cfg.expand_factor * radius, cfg.radius_max)
+            if rho >= EXPAND_RATIO and hit_boundary:
+                radius = min(EXPAND_FACTOR * radius, RADIUS_MAX)
         else:
-            radius = cfg.shrink_factor * radius
+            radius = SHRINK_FACTOR * radius
     return _result(method, best_x, best_err, trace, evals, trials + 1, cfg)
 
 
@@ -280,7 +275,7 @@ def _convex_state(model, target):
     return state
 
 
-def _residual_state(model, target, floor):
+def _residual_state(model, target):
     """f(x) = 0.5*||sigma(x) - target||^2 with the Gauss-Newton Hessian J'J,
     floored by a Levenberg shift when J is near-singular."""
 
@@ -291,8 +286,8 @@ def _residual_state(model, target, floor):
         f = 0.5 * float(r @ r)
         g = jac.T @ r
         B = jac.T @ jac
-        if np.linalg.eigvalsh(B)[0] < floor:
-            B = B + floor * np.eye(B.shape[0])
+        if np.linalg.eigvalsh(B)[0] < REGULARIZATION_FLOOR:
+            B = B + REGULARIZATION_FLOOR * np.eye(B.shape[0])
         err = float(np.abs(r).max())
         scale = float(np.abs(r).sum())
         return f, g, B, err, scale
@@ -329,8 +324,7 @@ def residual_trust_region_invert(
     cfg = cfg if cfg is not None else SolverConfig()
     target = as_share_vector(sigma_star, model.J)
     x0 = np.zeros(model.J) if x0 is None else x0
-    state = _residual_state(model, target, cfg.regularization_floor)
-    return _trust_region_invert("residual_tr", model, x0, cfg, state)
+    return _trust_region_invert("residual_tr", model, x0, cfg, _residual_state(model, target))
 
 
 METHODS = ("contraction", "convex_tr", "residual_tr")

@@ -194,6 +194,18 @@ class TestInvert:
         assert code == EXIT_OK
         assert modelio.read_json(out)["error_final"] <= 1e-3
 
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys):
+        model_path = generate(tmp_path)
+        code = run_cli(
+            "invert",
+            "--model", model_path,
+            "--shares", tmp_path / "model.truth.json",
+            "--tol", "inf",
+            "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: gradient_tolerance must be finite and > 0\n"
+
     def test_contraction_boundary_target_is_usage_error(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(
@@ -349,6 +361,42 @@ class TestSimulate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: experiment spec: {key!r} must be {expected}, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "solver, expected",
+        [
+            (
+                {"max_iterations": True},
+                "experiment spec solver: 'max_iterations' must be an integer, got True",
+            ),
+            (
+                {"max_iterations": 2.5},
+                "experiment spec solver: 'max_iterations' must be an integer, got 2.5",
+            ),
+            (
+                {"max_iterations": None},
+                "experiment spec solver: 'max_iterations' must be an integer, got None",
+            ),
+            (
+                {"gradient_tolerance": "1e-8"},
+                "experiment spec solver: 'gradient_tolerance' must be a number, got '1e-8'",
+            ),
+            (
+                {"initial_radius": 2.0},
+                "bad solver settings: SolverConfig.__init__() got an unexpected keyword "
+                "argument 'initial_radius'",
+            ),
+        ],
+        ids=["iterations_bool", "iterations_float", "iterations_null", "tolerance_string",
+             "removed_key"],
+    )
+    def test_bad_solver_setting_is_usage_error(self, tmp_path, capsys, solver, expected):
+        doc = self.spec_doc()
+        doc["solver"] = solver
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli("simulate", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "r")

@@ -1,12 +1,21 @@
 """Random-coefficients logit: closed forms, the independent reference loop,
 choice-simulation equivalence, stabilization, and instance construction."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import demandinv as di
-from oracles import logit_reference, mc_logit_shares, mc_standard_errors
+from oracles import (
+    finite_difference_gradient,
+    logit_reference,
+    mc_logit_shares,
+    mc_standard_errors,
+)
 
 
 def zero_z_market(J, n=4, M=2):
@@ -65,13 +74,15 @@ class TestStabilization:
     def test_shift_invariance(self):
         market, x_star, _ = di.make_logit_instance(4, 2, 30, seed=9)
         x = x_star + 0.1
-        base = market.evaluate(x, want_jacobian=True)
-        v = market.nu @ market.z.T + x
-        for shift in (np.zeros(market.n), v.max(axis=1) + 3.0):
-            other = market._evaluate_shifted(x, want_jacobian=True, shift=shift)
-            assert_allclose(other.welfare, base.welfare, rtol=0, atol=1e-13)
-            assert_allclose(other.shares, base.shares, rtol=0, atol=1e-14)
-            assert_allclose(other.jacobian, base.jacobian, rtol=0, atol=1e-14)
+        # every consumer's best product beats the outside good here, so the
+        # overflow shift max(0, max_q v_iq) is active for all of them; the
+        # shifted evaluation must equal the unshifted reference loop
+        assert np.all((market.nu @ market.z.T + x).max(axis=1) > 0.0)
+        ev = market.evaluate(x, want_jacobian=True)
+        ref_w, ref_s, ref_j = logit_reference(market.z, market.nu, x)
+        assert_allclose(ev.welfare, ref_w, rtol=0, atol=1e-13)
+        assert_allclose(ev.shares, ref_s, rtol=0, atol=1e-14)
+        assert_allclose(ev.jacobian, ref_j, rtol=0, atol=1e-14)
 
     def test_deep_underflow_is_exact_zero(self):
         market = zero_z_market(2)
@@ -110,6 +121,36 @@ class TestInvariants:
         expected = probs.T @ outside / market.n
         assert_allclose(jac.sum(axis=1), expected, rtol=0, atol=1e-14)
         assert np.all(jac.sum(axis=1) >= 0.0)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_random_markets_and_utilities(self, data):
+        J = data.draw(st.integers(1, 12), label="J")
+        M = data.draw(st.integers(1, 4), label="M")
+        n = data.draw(st.integers(1, 40), label="n")
+        scale = data.draw(st.sampled_from([1.0, 10.0, 1e3, 1e20, 1e200]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        market = di.LogitMarket(
+            z=rng.standard_normal((J, M)), nu=rng.standard_normal((n, M)), beta=np.ones(M)
+        )
+        x = scale * rng.uniform(-1.0, 1.0, J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = market.evaluate(x, want_jacobian=True)
+        assert np.isfinite(ev.welfare)
+        assert np.all(ev.shares >= 0.0)
+        assert ev.shares.sum() <= 1.0 + 1e-12
+        jac = ev.jacobian
+        assert np.array_equal(jac, jac.T)
+        assert np.all(jac - np.diag(np.diag(jac)) <= 0.0)
+        assert np.all(jac.sum(axis=1) >= -1e-15)
+        if np.max(np.abs(market.nu @ market.z.T + x)) <= 30.0:
+            ref_w, ref_s, ref_j = logit_reference(market.z, market.nu, x)
+            assert abs(ev.welfare - ref_w) <= 1e-13 * max(1.0, abs(ref_w))
+            assert np.max(np.abs(ev.shares - ref_s)) <= 1e-13
+            assert np.max(np.abs(jac - ref_j)) <= 1e-13
+            gradient = finite_difference_gradient(market, x)
+            assert np.max(np.abs(gradient - ev.shares)) <= 1e-7
 
 
 class TestInstanceConstruction:

@@ -3,12 +3,15 @@ Floats travel as shortest round-trip decimal text, so reloads are bit-exact."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import demandinv as di
 from demandinv import modelio
+
+SPECS_DIR = Path(__file__).parents[1] / "specs"
 
 
 @pytest.fixture()
@@ -157,6 +160,13 @@ class TestSpecFiles:
         with pytest.raises(di.InvalidInputError, match="solver"):
             modelio.spec_from_dict(doc)
 
+    def test_shipped_specs_round_trip(self):
+        paths = sorted(SPECS_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            spec = modelio.spec_from_dict(modelio.read_json(path))
+            assert modelio.spec_from_dict(modelio.spec_to_dict(spec)) == spec, path.name
+
     def test_hash_is_stable_and_discriminating(self):
         a = modelio.spec_sha256(self.spec())
         b = modelio.spec_sha256(self.spec())
@@ -257,8 +267,8 @@ class TestRunArtifacts:
             outside_share=np.array([0.1, 0.3]),
             min_overall=np.array([0.1, 1e-16]),
         )
-        doc = modelio.degeneracy_to_dict(deg, threshold=1e-10)
-        assert doc["threshold"] == 1e-10
+        doc = modelio.degeneracy_to_dict(deg)
+        assert doc["threshold"] == 1e-14
         assert doc["fraction_below"] == 0.5
         assert [r["replication_id"] for r in doc["replications"]] == [0, 1]
         assert doc["replications"][1]["min_overall"] == 1e-16

@@ -1,6 +1,9 @@
 """Inversion solvers: contraction fixed point, convex trust-region Newton,
 and residual Gauss-Newton, plus the shared trust-region step machinery."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -54,29 +57,15 @@ class RecordingModel(di.DemandModel):
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = di.SolverConfig()
-        assert cfg.max_iterations == 500
-        assert cfg.gradient_tolerance == 1e-13
-        assert cfg.initial_radius == 1.0
-        assert cfg.radius_max == 1e6
-        assert cfg.accept_ratio == 0.1
-        assert cfg.expand_ratio == 0.75
-        assert cfg.shrink_factor == 0.25
-        assert cfg.expand_factor == 2.0
-        assert cfg.regularization_floor == 1e-10
+        assert dataclasses.asdict(cfg) == {"max_iterations": 500, "gradient_tolerance": 1e-13}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_iterations": -1},
             {"gradient_tolerance": 0.0},
-            {"initial_radius": 0.0},
-            {"radius_max": -1.0},
-            {"accept_ratio": 0.0},
-            {"accept_ratio": 0.3},
-            {"accept_ratio": 0.2, "expand_ratio": 0.1},
-            {"shrink_factor": 1.0},
-            {"expand_factor": 1.0},
-            {"regularization_floor": 0.0},
+            {"gradient_tolerance": math.inf},
+            {"gradient_tolerance": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -181,8 +170,9 @@ class TestConvexTrustRegion:
         x_star = rng.standard_normal(4)
         target = np.array([0.2, 0.1, 0.3, 0.15])
         model = QuadraticModel(A, target - A @ x_star)
-        cfg = di.SolverConfig(initial_radius=1e3)
-        res = di.convex_trust_region_invert(model, target, cfg=cfg)
+        # the Newton step fits inside the initial radius of 1
+        x0 = di.perturb_start(x_star, 0.5, seed=7)
+        res = di.convex_trust_region_invert(model, target, x0=x0)
         assert res.converged
         assert res.iterations_used == 1
         assert np.max(np.abs(res.x_final - x_star)) < 1e-12
