@@ -15,7 +15,6 @@ from .core import (
     UnsupportedTargetError,
     as_mean_utility,
     as_share_vector,
-    convex_objective,
 )
 from .harness import (
     WORKERS_ENV,
@@ -40,10 +39,8 @@ from .solvers import (
     METHODS,
     InversionResult,
     SolverConfig,
-    contraction_invert,
-    convex_trust_region_invert,
+    convex_objective,
     invert,
-    residual_trust_region_invert,
 )
 
 __version__ = "0.1.0"
@@ -69,15 +66,12 @@ __all__ = [
     "UnsupportedTargetError",
     "as_mean_utility",
     "as_share_vector",
-    "contraction_invert",
     "convex_objective",
-    "convex_trust_region_invert",
     "empirical_rate",
     "invert",
     "make_logit_instance",
     "make_purechar_instance",
     "perturb_start",
-    "residual_trust_region_invert",
     "run_suite",
     "upper_envelope",
     "__version__",

@@ -1,4 +1,4 @@
-"""Evaluator contract shared by all demand models, plus the convex inversion objective."""
+"""Evaluator contract shared by all demand models, and input validation."""
 
 from __future__ import annotations
 
@@ -69,6 +69,14 @@ def as_share_vector(s, J: int | None = None) -> np.ndarray:
     return s
 
 
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """seed as a SeedSequence, raising InvalidInputError for a negative or non-integer seed."""
+    try:
+        return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
 def set_frozen_array(obj, name: str, value, shape=None) -> np.ndarray:
     """Coerce a frozen-dataclass field to a validated read-only float array."""
     arr = np.array(as_float_array(value, name))
@@ -123,27 +131,4 @@ class DemandModel(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Evaluate welfare and shares (and the Jacobian if requested) at x."""
-
-
-def convex_objective(
-    model: DemandModel,
-    target,
-    x,
-    want_hessian: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Evaluate the convex inversion objective f(x) = U(x) - x'target.
-
-    Its gradient is sigma(x) - target and its Hessian is the share Jacobian,
-    so the unconstrained minimizers of f are exactly the utility vectors whose
-    model shares match `target`.
-
-    Returns:
-        (value, gradient, hessian) with hessian None unless requested.
-    """
-    target = as_share_vector(target, model.J)
-    x = as_mean_utility(x, model.J)
-    ev = model.evaluate(x, want_jacobian=want_hessian)
-    value = ev.welfare - float(x @ target)
-    gradient = ev.shares - target
-    return value, gradient, (ev.jacobian if want_hessian else None)
 

@@ -11,7 +11,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import InvalidInputError, as_mean_utility
+from .core import InvalidInputError, as_mean_utility, as_seed_sequence
 from .logit import make_logit_instance
 from .purechar import make_purechar_instance
 from .solvers import METHODS, InversionResult, SolverConfig, invert
@@ -76,7 +76,7 @@ class MethodBand:
 
 @dataclass(frozen=True, eq=False)
 class TraceBand:
-    """Per-method min/median/max error at each iteration 0..max_iterations.
+    """Per-method min/median/max error at each iteration of the suite's longest trace.
 
     Methods whose runs all failed carry no band; failures live in
     SuiteResult.failures.
@@ -117,7 +117,7 @@ def perturb_start(x_star, delta_norm: float, seed):
         raise InvalidInputError("delta_norm must be >= 0")
     if delta_norm == 0:
         return x_star.copy()
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    root = as_seed_sequence(seed)
     direction = np.random.Generator(np.random.Philox(root)).standard_normal(x_star.shape[0])
     return x_star + (delta_norm / float(np.linalg.norm(direction))) * direction
 
@@ -212,8 +212,8 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
 
 
 def _aggregate_bands(spec: ExperimentSpec, results) -> TraceBand:
-    horizon = spec.solver_cfg.max_iterations
-    iterations = np.arange(horizon + 1)
+    # One axis for every method, as long as the longest accepted trace of the suite.
+    length = max((res.error_trace.size for res in results.values()), default=0)
     per_method: dict[str, MethodBand] = {}
     for method in spec.methods:
         traces = [
@@ -225,7 +225,7 @@ def _aggregate_bands(spec: ExperimentSpec, results) -> TraceBand:
             continue
         # Pad by carrying the last (best) error forward so every replication
         # is defined on the full iteration axis.
-        padded = np.empty((len(traces), horizon + 1))
+        padded = np.empty((len(traces), length))
         rates = []
         for i, trace in enumerate(traces):
             padded[i, : trace.size] = trace
@@ -238,4 +238,4 @@ def _aggregate_bands(spec: ExperimentSpec, results) -> TraceBand:
             maximum=padded.max(axis=0),
             empirical_rate=float(np.median(rates)) if rates else math.nan,
         )
-    return TraceBand(iterations=iterations, per_method=per_method)
+    return TraceBand(iterations=np.arange(length), per_method=per_method)

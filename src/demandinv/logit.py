@@ -12,6 +12,7 @@ from .core import (
     InvalidInputError,
     ModelEvaluation,
     as_mean_utility,
+    as_seed_sequence,
     set_frozen_array,
 )
 
@@ -88,7 +89,7 @@ def make_logit_instance(J: int, M: int, n: int, seed):
     """
     if J < 1 or M < 1 or n < 1:
         raise InvalidInputError("J, M, n must all be >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    root = as_seed_sequence(seed)
     ss_beta, ss_z, ss_nu = root.spawn(3)
     beta = np.random.Generator(np.random.Philox(ss_beta)).random(M)
     z = np.random.Generator(np.random.Philox(ss_z)).standard_normal((J, M))

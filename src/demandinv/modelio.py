@@ -23,7 +23,7 @@ from .logit import LogitMarket
 from .purechar import PureCharMarket
 from .solvers import InversionResult, SolverConfig
 
-ARTIFACT_VERSION = "2"
+ARTIFACT_VERSION = "3"
 
 # trace.csv columns, in file order, with the type each is read back as.
 _TRACE_TYPES = {

@@ -22,6 +22,7 @@ from .core import (
     InvalidInputError,
     ModelEvaluation,
     as_mean_utility,
+    as_seed_sequence,
     set_frozen_array,
 )
 
@@ -295,7 +296,7 @@ def make_purechar_instance(J: int, M: int, n: int, seed):
     """
     if J < 1 or M < 2 or n < 1:
         raise InvalidInputError("need J >= 1, M >= 2, n >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    root = as_seed_sequence(seed)
     ss_beta, ss_z, ss_nu = root.spawn(3)
     beta = np.concatenate([[1.0], np.random.Generator(np.random.Philox(ss_beta)).random(M - 1)])
     z = np.random.Generator(np.random.Philox(ss_z)).standard_normal((J, M))

@@ -97,21 +97,8 @@ def _result(method, best_x, best_err, trace, evals, total, cfg) -> InversionResu
     )
 
 
-def contraction_invert(model: DemandModel, sigma_star, x0=None, cfg: SolverConfig | None = None):
-    """BLP fixed point x <- x + log sigma* - log sigma(x).
-
-    Requires a strictly interior target (log of both target and model shares
-    is taken). A model share hitting exact zero mid-run ends the iteration
-    with converged=False rather than raising.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    target = as_share_vector(sigma_star, model.J)
-    if np.any(target <= 0.0) or float(target.sum()) >= 1.0:
-        raise UnsupportedTargetError(
-            "unsupported target for contraction: every share must be > 0 with sum < 1"
-        )
-    x = np.zeros(model.J) if x0 is None else np.array(as_mean_utility(x0, model.J))
-
+def _contraction(model, target, x, cfg) -> InversionResult:
+    """BLP fixed point on a validated interior target, from a validated start x."""
     shares = model.evaluate(x).shares
     best_err = float(np.abs(shares - target).max())
     best_x = x.copy()
@@ -205,8 +192,8 @@ def _cauchy_reduction(g, B, radius) -> float:
     return -(float(g @ p) + 0.5 * float(p @ (B @ p)))
 
 
-def _trust_region_invert(method, model, x0, cfg, state):
-    """Shared trust-region driver.
+def _trust_region(method, x, cfg, state) -> InversionResult:
+    """Shared trust-region driver, from a validated start x.
 
     `state(x)` performs one full model evaluation and returns
     (f, g, B, err, scale): objective, gradient, model Hessian, max-norm share
@@ -215,7 +202,6 @@ def _trust_region_invert(method, model, x0, cfg, state):
     max_iterations bounds trial steps; only accepted steps extend the trace.
     Each trial makes one evaluation, so trials + 1 have been made in all.
     """
-    x = np.array(as_mean_utility(x0, model.J))
     f, g, B, err, scale = state(x)
     best_err = err
     best_x = x.copy()
@@ -295,56 +281,48 @@ def _residual_state(model, target):
     return state
 
 
-def convex_trust_region_invert(
-    model: DemandModel, sigma_star, x0=None, cfg: SolverConfig | None = None
-):
-    """Trust-region Newton on the convex objective U(x) - x'sigma*.
+def convex_objective(model: DemandModel, target, x, want_hessian: bool = False):
+    """(value, gradient, hessian) of f(x) = U(x) - x'target, the function
+    `convex_tr` minimizes; hessian is None unless requested.
 
-    The paper's method: with an interior minimizer the unconstrained Newton
-    step equals the residual solver's Newton-Raphson step, but global
-    convergence needs no globalization tricks because the objective is convex.
-    Zero coordinates in sigma* are allowed; they may be unattainable at finite
-    x, in which case the run reports converged=False.
+    Its gradient is sigma(x) - target and its Hessian is the share Jacobian,
+    so the unconstrained minimizers of f are exactly the utility vectors whose
+    model shares match `target`.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    target = as_share_vector(sigma_star, model.J)
-    x0 = np.zeros(model.J) if x0 is None else x0
-    return _trust_region_invert("convex_tr", model, x0, cfg, _convex_state(model, target))
-
-
-def residual_trust_region_invert(
-    model: DemandModel, sigma_star, x0=None, cfg: SolverConfig | None = None
-):
-    """Trust-region Gauss-Newton on the residual sigma(x) - sigma*.
-
-    The fsolve-style baseline. May stall at a nonzero-residual stationary
-    point (converged=False), its documented failure mode on degenerate
-    instances.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    target = as_share_vector(sigma_star, model.J)
-    x0 = np.zeros(model.J) if x0 is None else x0
-    return _trust_region_invert("residual_tr", model, x0, cfg, _residual_state(model, target))
+    target = as_share_vector(target, model.J)
+    x = as_mean_utility(x, model.J)
+    value, gradient, hessian = _convex_state(model, target)(x)[:3]
+    return value, gradient, (hessian if want_hessian else None)
 
 
 METHODS = ("contraction", "convex_tr", "residual_tr")
 
-_DISPATCH = {
-    "contraction": contraction_invert,
-    "convex_tr": convex_trust_region_invert,
-    "residual_tr": residual_trust_region_invert,
-}
-
 
 def invert(model: DemandModel, sigma_star, method: str, x0=None, cfg: SolverConfig | None = None):
-    """Invert sigma(x) = sigma* with the named method.
+    """Invert sigma(x) = sigma* with the named method from x0 (default: zeros).
 
-    method is one of contraction | convex_tr | residual_tr.
+    - contraction: the BLP fixed point x <- x + log sigma* - log sigma(x). It
+      needs a strictly interior target; a model share of exact zero ends the
+      run with converged=False rather than raising.
+    - convex_tr: trust-region Newton on the convex U(x) - x'sigma*, the paper's
+      method. At interior points its unconstrained step is the Newton-Raphson
+      step on the residual, and convexity makes it globally convergent. Zero
+      target shares are allowed; unattainable at finite x, they end the run
+      with converged=False.
+    - residual_tr: trust-region Gauss-Newton on sigma(x) - sigma*, the
+      fsolve-style baseline. It may stall at a nonzero-residual stationary
+      point (converged=False) on degenerate instances.
     """
-    try:
-        solver = _DISPATCH[method]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
-        ) from None
-    return solver(model, sigma_star, x0, cfg)
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    cfg = cfg if cfg is not None else SolverConfig()
+    target = as_share_vector(sigma_star, model.J)
+    if method == "contraction" and (np.any(target <= 0.0) or float(target.sum()) >= 1.0):
+        raise UnsupportedTargetError(
+            "unsupported target for contraction: every share must be > 0 with sum < 1"
+        )
+    x = np.zeros(model.J) if x0 is None else np.array(as_mean_utility(x0, model.J))
+    if method == "contraction":
+        return _contraction(model, target, x, cfg)
+    state = {"convex_tr": _convex_state, "residual_tr": _residual_state}[method]
+    return _trust_region(method, x, cfg, state(model, target))

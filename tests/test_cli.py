@@ -67,6 +67,15 @@ class TestGenerate:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "generate", "--family", "logit", "--J", 2, "--M", 1, "--n", 2, "--seed", -1,
+            "--out", tmp_path / "m.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         code = run_cli(
             "generate", "--family", "logit", "--J", 2, "--M", 1, "--n", 2,
@@ -206,6 +215,19 @@ class TestInvert:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: gradient_tolerance must be finite and > 0\n"
 
+    def test_negative_x0_seed_is_usage_error(self, tmp_path, capsys):
+        model_path = generate(tmp_path)
+        code = run_cli(
+            "invert",
+            "--model", model_path,
+            "--shares", tmp_path / "model.truth.json",
+            "--x0", "truth+delta:1",
+            "--x0-seed", -3,
+            "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+
     def test_contraction_boundary_target_is_usage_error(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(
@@ -334,11 +356,25 @@ class TestSimulate:
         rows = modelio.read_trace_csv(out_dir / "trace.csv")
         errors = [r["error_maxnorm"] for r in rows]
         bands = json.loads((out_dir / "bands.json").read_text())["methods"]["convex_tr"]
-        horizon = doc["solver"]["max_iterations"]
-        padded = errors + [errors[-1]] * (horizon + 1 - len(errors))
-        assert bands["min"] == padded
-        assert bands["median"] == padded
-        assert bands["max"] == padded
+        assert len(errors) < doc["solver"]["max_iterations"] + 1
+        assert bands["min"] == errors
+        assert bands["median"] == errors
+        assert bands["max"] == errors
+
+    def test_band_axis_ends_at_longest_trace_not_budget(self, tmp_path):
+        doc = self.spec_doc()
+        doc["methods"] = ["convex_tr", "residual_tr"]
+        doc["solver"]["max_iterations"] = 100_000
+        spec_path = self.write_spec(tmp_path, doc)
+        out_dir = tmp_path / "run"
+        assert run_cli("simulate", "--spec", spec_path, "--out-dir", out_dir) == EXIT_OK
+        rows = modelio.read_trace_csv(out_dir / "trace.csv")
+        longest = 1 + max(r["iteration"] for r in rows)
+        assert longest < 100
+        bands = json.loads((out_dir / "bands.json").read_text())
+        assert bands["iterations"] == list(range(longest))
+        for band in bands["methods"].values():
+            assert len(band["median"]) == longest
 
     def test_unknown_spec_key_is_usage_error(self, tmp_path, capsys):
         doc = self.spec_doc()

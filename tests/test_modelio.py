@@ -285,7 +285,7 @@ class TestRunArtifacts:
 
     def test_inversion_result_dict(self):
         market, _, sigma_star = di.make_logit_instance(3, 2, 15, seed=0)
-        res = di.convex_trust_region_invert(market, sigma_star)
+        res = di.invert(market, sigma_star, "convex_tr")
         doc = modelio.inversion_result_to_dict(res, "convex_tr")
         assert doc["method"] == "convex_tr"
         assert doc["converged"] is True

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import demandinv as di
 from demandinv.solvers import _tr_step
@@ -110,14 +112,14 @@ class TestTrustRegionStep:
 class TestContraction:
     def test_converges_on_logit(self):
         market, x_star, sigma_star = di.make_logit_instance(4, 2, 50, seed=3)
-        res = di.contraction_invert(market, sigma_star)
+        res = di.invert(market, sigma_star, "contraction")
         assert res.converged
         assert np.max(np.abs(res.x_final - x_star)) < 1e-10
         assert res.error_trace[-1] <= 1e-13
 
     def test_starting_at_truth_stops_immediately(self):
         market, x_star, sigma_star = di.make_logit_instance(3, 2, 20, seed=5)
-        res = di.contraction_invert(market, sigma_star, x0=x_star)
+        res = di.invert(market, sigma_star, "contraction", x0=x_star)
         assert res.converged
         assert res.iterations_used == 0
         assert res.error_trace.shape == (1,)
@@ -126,9 +128,9 @@ class TestContraction:
     def test_rejects_boundary_targets(self):
         market = plain_logit(2)
         with pytest.raises(di.UnsupportedTargetError):
-            di.contraction_invert(market, np.array([0.0, 0.5]))
+            di.invert(market, np.array([0.0, 0.5]), "contraction")
         with pytest.raises(di.UnsupportedTargetError):
-            di.contraction_invert(market, np.array([0.5, 0.5]))
+            di.invert(market, np.array([0.5, 0.5]), "contraction")
 
     def test_zero_model_share_ends_run(self):
         # a pure characteristics model gives exact-zero shares in deep tails,
@@ -137,14 +139,14 @@ class TestContraction:
         assert np.all(sigma_star > 0.0) and sigma_star.sum() < 1.0
         x0 = np.full(4, -400.0)  # deep enough that every tail mass underflows
         assert np.array_equal(market.evaluate(x0).shares, np.zeros(4))
-        res = di.contraction_invert(market, sigma_star, x0=x0)
+        res = di.invert(market, sigma_star, "contraction", x0=x0)
         assert not res.converged
         assert res.iterations_used == 0
         assert res.eval_counts == {"welfare": 0, "shares": 1, "jacobian": 0}
 
     def test_eval_accounting(self):
         market, _, sigma_star = di.make_logit_instance(3, 2, 25, seed=8)
-        res = di.contraction_invert(market, sigma_star)
+        res = di.invert(market, sigma_star, "contraction")
         assert res.eval_counts["welfare"] == 0
         assert res.eval_counts["jacobian"] == 0
         assert res.eval_counts["shares"] == len(res.error_trace)
@@ -156,7 +158,7 @@ class TestConvexTrustRegion:
     def test_one_dimensional_logit(self):
         market = plain_logit(1)
         target = np.array([0.3])
-        res = di.convex_trust_region_invert(market, target)
+        res = di.invert(market, target, "convex_tr")
         assert res.converged
         assert res.iterations_used <= 30
         x_star = np.log(0.3 / 0.7)
@@ -172,7 +174,7 @@ class TestConvexTrustRegion:
         model = QuadraticModel(A, target - A @ x_star)
         # the Newton step fits inside the initial radius of 1
         x0 = di.perturb_start(x_star, 0.5, seed=7)
-        res = di.convex_trust_region_invert(model, target, x0=x0)
+        res = di.invert(model, target, "convex_tr", x0=x0)
         assert res.converged
         assert res.iterations_used == 1
         assert np.max(np.abs(res.x_final - x_star)) < 1e-12
@@ -185,7 +187,7 @@ class TestConvexTrustRegion:
             for seed in (0, 1, 2):
                 market, x_star, sigma_star = maker(*dims, seed=seed)
                 x0 = x_star + di.perturb_start(x_star, 20.0, seed=seed)
-                res = di.convex_trust_region_invert(market, sigma_star, x0=x0)
+                res = di.invert(market, sigma_star, "convex_tr", x0=x0)
                 assert res.converged, (maker.__name__, seed)
                 final_err = np.abs(market.evaluate(res.x_final).shares - sigma_star).max()
                 assert final_err <= 1e-13
@@ -197,7 +199,7 @@ class TestConvexTrustRegion:
         target = sigma_star.copy()
         target[0] = 0.0
         cfg = di.SolverConfig(max_iterations=60)
-        res = di.convex_trust_region_invert(market, target, cfg=cfg)
+        res = di.invert(market, target, "convex_tr", cfg=cfg)
         assert np.all(np.isfinite(res.x_final))
         assert np.all(np.isfinite(res.error_trace))
         assert res.x_final[0] < -20.0
@@ -207,7 +209,7 @@ class TestConvexTrustRegion:
         market, x_star, sigma_star = di.make_logit_instance(5, 2, 60, seed=9)
         recorder = RecordingModel(market)
         x0 = x_star + di.perturb_start(x_star, 20.0, seed=0)
-        res = di.convex_trust_region_invert(recorder, sigma_star, x0=x0)
+        res = di.invert(recorder, sigma_star, "convex_tr", x0=x0)
         assert res.converged
         # eval_trace[k] counts evaluations made by acceptance of iterate k, so
         # the k-th accepted point is the last evaluation in that prefix
@@ -223,7 +225,7 @@ class TestConvexTrustRegion:
 
     def test_eval_accounting(self):
         market, _, sigma_star = di.make_logit_instance(4, 2, 30, seed=2)
-        res = di.convex_trust_region_invert(market, sigma_star)
+        res = di.invert(market, sigma_star, "convex_tr")
         counts = res.eval_counts
         assert counts["welfare"] == counts["shares"] == counts["jacobian"]
         assert tuple(res.eval_trace[0]) == (1, 1, 1)
@@ -237,7 +239,7 @@ class TestResidualTrustRegion:
         for seed in (0, 4, 8):
             market, x_star, sigma_star = di.make_logit_instance(5, 2, 60, seed=seed)
             x0 = x_star + di.perturb_start(x_star, 0.1, seed=seed)
-            res = di.residual_trust_region_invert(market, sigma_star, x0=x0)
+            res = di.invert(market, sigma_star, "residual_tr", x0=x0)
             assert res.converged
             assert res.iterations_used <= 15
             assert np.max(np.abs(res.x_final - x_star)) < 1e-10
@@ -245,7 +247,7 @@ class TestResidualTrustRegion:
     def test_locally_quadratic_tail(self):
         market, x_star, sigma_star = di.make_logit_instance(4, 2, 50, seed=6)
         x0 = x_star + di.perturb_start(x_star, 0.5, seed=1)
-        res = di.residual_trust_region_invert(market, sigma_star, x0=x0)
+        res = di.invert(market, sigma_star, "residual_tr", x0=x0)
         assert res.converged
         trace = res.error_trace
         in_basin = np.flatnonzero(trace < 1e-4)
@@ -262,15 +264,15 @@ class TestResidualTrustRegion:
         market, x_star, sigma_star = di.make_purechar_instance(6, 3, 50, seed=4)
         x0 = x_star + di.perturb_start(x_star, 20.0, seed=0)
         cfg = di.SolverConfig(max_iterations=200)
-        res = di.residual_trust_region_invert(market, sigma_star, x0=x0, cfg=cfg)
-        ref = di.convex_trust_region_invert(market, sigma_star, x0=x0, cfg=cfg)
+        res = di.invert(market, sigma_star, "residual_tr", x0=x0, cfg=cfg)
+        ref = di.invert(market, sigma_star, "convex_tr", x0=x0, cfg=cfg)
         assert not res.converged
         assert res.error_trace[-1] > 1e-6
         assert ref.error_trace[-1] < 1e-12
 
     def test_eval_accounting(self):
         market, _, sigma_star = di.make_logit_instance(4, 2, 30, seed=2)
-        res = di.residual_trust_region_invert(market, sigma_star)
+        res = di.invert(market, sigma_star, "residual_tr")
         counts = res.eval_counts
         assert counts["welfare"] == 0
         assert counts["shares"] == counts["jacobian"]
@@ -336,11 +338,43 @@ class TestSharedContract:
         with pytest.raises(di.InvalidInputError):
             di.invert(market, sigma_star, "newton")
 
-    def test_dispatcher_matches_direct_calls(self):
-        market, _, sigma_star = di.make_logit_instance(3, 2, 20, seed=1)
-        direct = di.convex_trust_region_invert(market, sigma_star)
-        via = di.invert(market, sigma_star, "convex_tr")
-        assert np.array_equal(direct.x_final, via.x_final)
+
+class TestSolverContractProperty:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_random_markets_starts_and_budgets(self, data):
+        family = data.draw(st.sampled_from(["logit", "purechar"]), label="family")
+        J = data.draw(st.integers(1, 6), label="J")
+        M = data.draw(st.integers(1, 3) if family == "logit" else st.integers(2, 3), label="M")
+        n = data.draw(st.integers(1, 30), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        delta_norm = data.draw(st.sampled_from([0.0, 0.1, 5.0, 20.0]), label="delta_norm")
+        budget = data.draw(st.integers(0, 30), label="budget")
+        maker = di.make_logit_instance if family == "logit" else di.make_purechar_instance
+        market, x_star, sigma_star = maker(J, M, n, seed=seed)
+        x0 = di.perturb_start(x_star, delta_norm, seed=seed)
+        cfg = di.SolverConfig(max_iterations=budget)
+        interior = np.all(sigma_star > 0.0) and sigma_star.sum() < 1.0
+        for method in di.METHODS:
+            if method == "contraction" and not interior:
+                with pytest.raises(di.UnsupportedTargetError):
+                    di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+                continue
+            res = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+            trace = res.error_trace
+            assert trace.shape == (res.iterations_used + 1,)
+            assert res.iterations_used <= budget
+            assert np.all(np.diff(trace) <= 0.0)
+            assert res.converged == (trace[-1] <= cfg.gradient_tolerance)
+            err = np.abs(market.evaluate(res.x_final).shares - sigma_star).max()
+            assert abs(err - trace[-1]) <= 1e-15
+            totals = [res.eval_counts[kind] for kind in ("welfare", "shares", "jacobian")]
+            assert np.all(res.eval_trace[-1] <= totals)
+            again = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+            assert np.array_equal(again.x_final, res.x_final)
+            assert np.array_equal(again.error_trace, trace)
+            assert np.array_equal(again.eval_trace, res.eval_trace)
+            assert again.eval_counts == res.eval_counts
 
 
 class TestNewtonEquivalence:
