@@ -25,17 +25,16 @@ from .solvers import InversionResult, SolverConfig
 
 ARTIFACT_VERSION = "3"
 
-# trace.csv columns, in file order, with the type each is read back as.
-_TRACE_TYPES = {
-    "replication_id": int,
-    "method": str,
-    "iteration": int,
-    "error_maxnorm": float,
-    "welfare_evals": int,
-    "share_evals": int,
-    "jacobian_evals": int,
-}
-TRACE_COLUMNS = tuple(_TRACE_TYPES)
+# trace.csv columns, in file order.
+TRACE_COLUMNS = (
+    "replication_id",
+    "method",
+    "iteration",
+    "error_maxnorm",
+    "welfare_evals",
+    "share_evals",
+    "jacobian_evals",
+)
 
 _MODEL_KEYS = {"family", "J", "M", "n", "beta", "z", "nu", "seed"}
 _SPEC_INTEGERS = ("J", "M", "n", "replications", "master_seed")
@@ -254,14 +253,6 @@ def write_trace_csv(path, results: dict) -> None:
             rows = zip(res.error_trace.tolist(), res.eval_trace.tolist())
             for k, (error, evals) in enumerate(rows):
                 writer.writerow([replication, method, k, repr(error), *evals])
-
-
-def read_trace_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
-            raise InvalidInputError(f"trace CSV has unexpected header {reader.fieldnames}")
-        return [{col: kind(row[col]) for col, kind in _TRACE_TYPES.items()} for row in reader]
 
 
 def bands_to_dict(bands: TraceBand) -> dict:

@@ -2,7 +2,10 @@
 objective, and a Gauss-Newton trust-region on the share residual.
 
 All three stop on the same criterion, the max norm of sigma(x) - sigma*, and
-report the same result shape so traces are directly comparable.
+report the same result shape so traces are directly comparable. The two
+trust-region methods share one loop and one step: each model Hessian gets a
+Levenberg floor that makes it safely positive definite, and the dogleg solves
+the subproblem on the floored model.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from .core import (
     as_share_vector,
 )
 
-# Dogleg requires a safely positive definite Hessian; below this smallest
-# eigenvalue the subproblem falls back to Steihaug-CG.
-PD_SWITCH = 1e-10
-
 _EPS = float(np.finfo(float).eps)
 
 # Trust-region radius schedule: start and cap, the rho = actual/predicted
@@ -36,7 +35,9 @@ EXPAND_RATIO = 0.75
 SHRINK_FACTOR = 0.25
 EXPAND_FACTOR = 2.0
 
-# residual_tr's Levenberg shift, added when the smallest eigenvalue of J'J is below it.
+# Smallest eigenvalue of every trust-region model Hessian, after the Levenberg
+# shift in _floor_hessian; raised to max(64, J(J+1)) eps times the largest
+# |eigenvalue| when that is bigger.
 REGULARIZATION_FLOOR = 1e-10
 
 
@@ -127,7 +128,26 @@ def _to_boundary(z, d, radius) -> float:
     return (-zd + math.sqrt(zd * zd + dd * slack)) / dd
 
 
-def _dogleg_step(g, B, radius) -> np.ndarray:
+def _floor_hessian(B) -> np.ndarray:
+    """B with a Levenberg shift that lifts its smallest eigenvalue to at least
+    max(REGULARIZATION_FLOOR, max(64, J(J+1)) eps max|eigenvalue|) for a J x J
+    B; B itself if already there.
+
+    The relative term keeps badly scaled models, with entries far from 1,
+    safely positive definite for the Cholesky factorization in _tr_step; its
+    J(J+1) follows the worst-case bound under which Cholesky completes
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.7).
+    """
+    eig = np.linalg.eigvalsh(B)
+    J = B.shape[0]
+    floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-eig[0], eig[-1]))
+    if eig[0] >= floor:
+        return B
+    return B + (floor + max(0.0, -eig[0])) * np.eye(J)
+
+
+def _tr_step(g, B, radius) -> np.ndarray:
+    """Dogleg step on the model g'p + p'Bp/2 within `radius`; B positive definite."""
     c, low = scipy.linalg.cho_factor(B)
     p_newton = scipy.linalg.cho_solve((c, low), -g)
     if float(np.linalg.norm(p_newton)) <= radius:
@@ -140,46 +160,6 @@ def _dogleg_step(g, B, radius) -> np.ndarray:
         return -(radius / math.sqrt(gg)) * g
     d = p_newton - p_cauchy
     return p_cauchy + _to_boundary(p_cauchy, d, radius) * d
-
-
-def _steihaug_step(g, B, radius) -> np.ndarray:
-    """Truncated CG on the trust-region subproblem; handles indefinite or
-    singular B by stepping to the boundary along nonpositive-curvature
-    directions."""
-    z = np.zeros_like(g)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return z
-    stop = min(0.5, math.sqrt(gnorm)) * gnorm
-    r = g.copy()
-    d = -g
-    rr = gnorm * gnorm
-    for _ in range(max(10, 2 * g.size)):
-        Bd = B @ d
-        dBd = float(d @ Bd)
-        if dBd <= 1e-14 * float(d @ d):
-            return z + _to_boundary(z, d, radius) * d
-        alpha = rr / dBd
-        z_next = z + alpha * d
-        if float(np.linalg.norm(z_next)) >= radius:
-            return z + _to_boundary(z, d, radius) * d
-        r = r + alpha * Bd
-        rr_next = float(r @ r)
-        z = z_next
-        if math.sqrt(rr_next) <= stop:
-            break
-        d = -r + (rr_next / rr) * d
-        rr = rr_next
-    return z
-
-
-def _tr_step(g, B, radius) -> np.ndarray:
-    if np.linalg.eigvalsh(B)[0] >= PD_SWITCH:
-        try:
-            return _dogleg_step(g, B, radius)
-        except scipy.linalg.LinAlgError:
-            pass
-    return _steihaug_step(g, B, radius)
 
 
 def _cauchy_reduction(g, B, radius) -> float:
@@ -197,12 +177,17 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
 
     `state(x)` performs one full model evaluation and returns
     (f, g, B, err, scale): objective, gradient, model Hessian, max-norm share
-    error, and a magnitude scale for the round-off guard below.
+    error, and a magnitude scale for the round-off guard below. The B of the
+    start and of each accepted state is floored by _floor_hessian, one eigvalsh
+    each, and the step, the predicted reduction and the Cauchy-decrease check
+    all use the floored B. A rejected trial's B is never used, so it is not
+    floored.
 
     max_iterations bounds trial steps; only accepted steps extend the trace.
     Each trial makes one evaluation, so trials + 1 have been made in all.
     """
     f, g, B, err, scale = state(x)
+    B = _floor_hessian(B)
     best_err = err
     best_x = x.copy()
     trace = [best_err]
@@ -233,7 +218,7 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
             rho = actual / pred
         if rho >= ACCEPT_RATIO:
             hit_boundary = float(np.linalg.norm(p)) >= (1.0 - 1e-6) * radius
-            x, f, g, B, err, scale = x_trial, f_t, g_t, B_t, err_t, scale_t
+            x, f, g, B, err, scale = x_trial, f_t, g_t, _floor_hessian(B_t), err_t, scale_t
             if err < best_err:
                 best_err = err
                 best_x = x.copy()
@@ -262,8 +247,7 @@ def _convex_state(model, target):
 
 
 def _residual_state(model, target):
-    """f(x) = 0.5*||sigma(x) - target||^2 with the Gauss-Newton Hessian J'J,
-    floored by a Levenberg shift when J is near-singular."""
+    """f(x) = 0.5*||sigma(x) - target||^2 with the Gauss-Newton Hessian J'J."""
 
     def state(x):
         ev = model.evaluate(x, want_jacobian=True)
@@ -272,8 +256,6 @@ def _residual_state(model, target):
         f = 0.5 * float(r @ r)
         g = jac.T @ r
         B = jac.T @ jac
-        if np.linalg.eigvalsh(B)[0] < REGULARIZATION_FLOOR:
-            B = B + REGULARIZATION_FLOOR * np.eye(B.shape[0])
         err = float(np.abs(r).max())
         scale = float(np.abs(r).sum())
         return f, g, B, err, scale

@@ -1,0 +1,198 @@
+"""Mutation check: each mutant below breaks the library on purpose, and the
+tests named with it must fail.
+
+For every mutant the script copies src/ to a temporary directory, replaces
+one exact piece of text in one file, and runs the named tests against the
+copy. It prints killed or survived per mutant. It exits 1 when a mutant
+survives, when a mutant's old text no longer occurs exactly once in its file,
+or when the named tests do not all pass on the unmutated copy. It uses the
+standard library only. pytest does not collect it, since it runs pytest once
+per mutant (about two minutes on two cores). Run it from anywhere:
+
+    python tests/mutants.py
+
+A change that claims its tests kill a new mutant adds that mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+PINNED = "tests/test_solvers.py::test_pinned_solver_work"
+CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
+TIES = "tests/test_purechar.py::TestTiedSlopes"
+LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
+STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
+
+# (name, file under src/demandinv, exact old text, new text, tests that must fail)
+MUTANTS = [
+    (
+        "tie goes to the last maximum",
+        "purechar.py",
+        "cand.argmax(axis=2)]",
+        "cand.shape[2] - 1 - cand[:, :, ::-1].argmax(axis=2)]",
+        [TIES],
+    ),
+    (
+        "Jacobian flux to the group head",
+        "purechar.py",
+        "op, oc = owner[rows, ps], owner[rows, cs]",
+        "op, oc = heads[ps], heads[cs]",
+        [TIES],
+    ),
+    (
+        "tied widths to the group head",
+        "purechar.py",
+        "widths[self._members] = member_width[self._members]",
+        "widths[self._members[:, 1:]] = 0.0",
+        [TIES],
+    ),
+    (
+        "no tied-group reduction",
+        "purechar.py",
+        "A[:, self._tied] = cand.max(axis=2)",
+        "pass",
+        [TIES],
+    ),
+    (
+        "no _phi clip",
+        "purechar.py",
+        "np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP))",
+        "np.square(t)",
+        ["tests/test_purechar.py::TestTiedSlopes::test_extreme_utilities_raise_no_warning"],
+    ),
+    (
+        "logit shift not clamped at 0",
+        "logit.py",
+        "shift = np.maximum(v.max(axis=1), 0.0)",
+        "shift = v.max(axis=1)",
+        [LOGIT_PROPERTY],
+    ),
+    (
+        "logit shift not added back to the log-sum",
+        "logit.py",
+        "log_denom = shift + np.log(denom)",
+        "log_denom = np.log(denom)",
+        [LOGIT_PROPERTY],
+    ),
+    (
+        "trailing rejected trials dropped from eval_counts",
+        "solvers.py",
+        "trace, evals, trials + 1, cfg)",
+        "trace, evals, evals[-1], cfg)",
+        [PINNED],
+    ),
+    (
+        "trust-region totals one evaluation short",
+        "solvers.py",
+        "trace, evals, trials + 1, cfg)",
+        "trace, evals, trials, cfg)",
+        [CONTRACT],
+    ),
+    (
+        "residual_tr counts welfare evaluations",
+        "solvers.py",
+        '"residual_tr": (0, 1, 1)',
+        '"residual_tr": (1, 1, 1)',
+        [PINNED],
+    ),
+    (
+        "eval_trace one evaluation short",
+        "solvers.py",
+        "evals.append(trials + 1)",
+        "evals.append(trials)",
+        [PINNED],
+    ),
+    (
+        "best_x updated on every accepted step",
+        "solvers.py",
+        "scale_t\n            if err < best_err:\n                best_err = err\n"
+        "                best_x = x.copy()\n",
+        "scale_t\n            best_x = x.copy()\n            if err < best_err:\n"
+        "                best_err = err\n",
+        [CONTRACT],
+    ),
+    (
+        "converged 10x too loose",
+        "solvers.py",
+        "converged=best_err <= cfg.gradient_tolerance",
+        "converged=best_err <= 10 * cfg.gradient_tolerance",
+        [CONTRACT],
+    ),
+    (
+        "contraction one iterate over budget",
+        "solvers.py",
+        "len(trace) <= cfg.max_iterations:",
+        "len(trace) <= cfg.max_iterations + 1:",
+        [CONTRACT],
+    ),
+    (
+        "no zero-share guard in contraction",
+        "solvers.py",
+        "        if np.any(shares == 0.0):\n            break",
+        "        if False:\n            break",
+        ["tests/test_solvers.py::TestContraction::test_zero_model_share_ends_run"],
+    ),
+    (
+        "residual_tr skips the floor",
+        "solvers.py",
+        "g_t, _floor_hessian(B_t), err_t",
+        'g_t, B_t if method == "residual_tr" else _floor_hessian(B_t), err_t',
+        [PINNED],
+    ),
+    (
+        "floor without the relative term",
+        "solvers.py",
+        "floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-eig[0], eig[-1]))",
+        "floor = REGULARIZATION_FLOOR",
+        [STEP_PROPERTY],
+    ),
+]
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit code for `tests` run against the package under `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=REPO, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        shutil.copytree(REPO / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if run_tests(clean, named) != 0:
+            print("the named tests fail on the unmutated source; fix them first")
+            return 1
+        for k, (name, file, old, new, tests) in enumerate(MUTANTS):
+            copy = Path(tmp) / f"m{k}"
+            shutil.copytree(clean, copy)
+            path = copy / "demandinv" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"STALE     {name}: old text occurs {text.count(old)} times in {file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            code = run_tests(copy, tests)
+            verdict = {1: "killed"}.get(code, "survived" if code == 0 else f"ERROR {code}")
+            print(f"{verdict:9} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
+            bad += verdict != "killed"
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,17 +4,19 @@ Everything here is deliberately written from the defining formulas:
 per-consumer Python loops, raw choice simulation, and grid argmax. The only
 library code used is the public `upper_envelope` in the pure-characteristics
 sweep, and that is checked against grid argmax on its own. Slow and simple on
-purpose.
+purpose. `read_trace_csv` reads back the trace files the library writes.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy.special import ndtr
 
 import demandinv as di
+from demandinv.modelio import TRACE_COLUMNS
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -212,3 +214,16 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
                 flux[q, p] -= w
     jac = flux[:J, :J] / n if want_jacobian else None
     return welfare / n, width[:J] / n, jac
+
+
+# The type each trace.csv column is read back as.
+_TRACE_TYPES = dict(zip(TRACE_COLUMNS, (int, str, int, float, int, int, int), strict=True))
+
+
+def read_trace_csv(path) -> list[dict]:
+    """Rows of a trace.csv as typed dicts; InvalidInputError on another header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
+            raise di.InvalidInputError(f"trace CSV has unexpected header {reader.fieldnames}")
+        return [{col: kind(row[col]) for col, kind in _TRACE_TYPES.items()} for row in reader]

@@ -9,6 +9,7 @@ import pytest
 import demandinv as di
 from demandinv import modelio
 from demandinv.cli import EXIT_IO, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from oracles import read_trace_csv
 
 
 def run_cli(*argv):
@@ -100,7 +101,7 @@ class TestInvert:
         assert doc["converged"] is True
         x_star, _ = modelio.load_truth(tmp_path / "model.truth.json")
         assert np.max(np.abs(np.array(doc["x_final"]) - x_star)) < 1e-8
-        rows = modelio.read_trace_csv(tmp_path / "result.trace.csv")
+        rows = read_trace_csv(tmp_path / "result.trace.csv")
         assert rows and all(r["method"] == "convex_tr" for r in rows)
         assert rows[-1]["error_maxnorm"] == doc["error_final"]
 
@@ -144,8 +145,8 @@ class TestInvert:
                 "--out", out,
             )
             assert code == EXIT_OK
-        err_a = modelio.read_trace_csv(tmp_path / "a.trace.csv")[0]["error_maxnorm"]
-        err_b = modelio.read_trace_csv(tmp_path / "b.trace.csv")[0]["error_maxnorm"]
+        err_a = read_trace_csv(tmp_path / "a.trace.csv")[0]["error_maxnorm"]
+        err_b = read_trace_csv(tmp_path / "b.trace.csv")[0]["error_maxnorm"]
         assert err_a != err_b  # different seeds give different starts
         x_star, _ = modelio.load_truth(tmp_path / "model.truth.json")
         market = modelio.load_model(model_path)
@@ -187,7 +188,7 @@ class TestInvert:
         )
         assert code == EXIT_NO_CONVERGENCE
         assert modelio.read_json(out)["converged"] is False
-        assert len(modelio.read_trace_csv(tmp_path / "r.trace.csv")) == 1
+        assert len(read_trace_csv(tmp_path / "r.trace.csv")) == 1
 
     def test_loose_tolerance_converges_fast(self, tmp_path):
         model_path = generate(tmp_path)
@@ -330,7 +331,7 @@ class TestSimulate:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["spec"]["master_seed"] == 4
         assert manifest["failures"] == {}
-        rows = modelio.read_trace_csv(out_dir / "trace.csv")
+        rows = read_trace_csv(out_dir / "trace.csv")
         assert {r["method"] for r in rows} == set(di.METHODS)
 
     def test_reruns_byte_identical(self, tmp_path, monkeypatch):
@@ -353,7 +354,7 @@ class TestSimulate:
         spec_path = self.write_spec(tmp_path, doc)
         out_dir = tmp_path / "run"
         assert run_cli("simulate", "--spec", spec_path, "--out-dir", out_dir) == EXIT_OK
-        rows = modelio.read_trace_csv(out_dir / "trace.csv")
+        rows = read_trace_csv(out_dir / "trace.csv")
         errors = [r["error_maxnorm"] for r in rows]
         bands = json.loads((out_dir / "bands.json").read_text())["methods"]["convex_tr"]
         assert len(errors) < doc["solver"]["max_iterations"] + 1
@@ -368,7 +369,7 @@ class TestSimulate:
         spec_path = self.write_spec(tmp_path, doc)
         out_dir = tmp_path / "run"
         assert run_cli("simulate", "--spec", spec_path, "--out-dir", out_dir) == EXIT_OK
-        rows = modelio.read_trace_csv(out_dir / "trace.csv")
+        rows = read_trace_csv(out_dir / "trace.csv")
         longest = 1 + max(r["iteration"] for r in rows)
         assert longest < 100
         bands = json.loads((out_dir / "bands.json").read_text())

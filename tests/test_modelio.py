@@ -10,6 +10,7 @@ import pytest
 
 import demandinv as di
 from demandinv import modelio
+from oracles import read_trace_csv
 
 SPECS_DIR = Path(__file__).parents[1] / "specs"
 
@@ -194,7 +195,7 @@ class TestTraceCSV:
         suite = self.suite()
         path = tmp_path / "trace.csv"
         modelio.write_trace_csv(path, suite.results)
-        rows = modelio.read_trace_csv(path)
+        rows = read_trace_csv(path)
         keys = [(r["method"], r["replication_id"], r["iteration"]) for r in rows]
         assert keys == sorted(keys)
         total = sum(res.error_trace.size for res in suite.results.values())
@@ -217,7 +218,7 @@ class TestTraceCSV:
         path = tmp_path / "trace.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(di.InvalidInputError):
-            modelio.read_trace_csv(path)
+            read_trace_csv(path)
 
     def test_unix_line_endings(self, tmp_path):
         suite = self.suite()

@@ -71,6 +71,18 @@ TIE_CASES = [
 ]
 
 
+def draw_tied_slopes(data, J):
+    """J slopes that tie on a 0.5 grid or lie one ulp apart, drawn with hypothesis."""
+    if data.draw(st.booleans(), label="grid"):
+        # a 0.5 grid: products tie with each other and with the zero line
+        steps = data.draw(st.lists(st.integers(-4, 4), min_size=J, max_size=J))
+        return 0.5 * np.array(steps, float)
+    # one ulp apart: nearly parallel lines cross far out
+    base = data.draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0]))
+    ulps = data.draw(st.lists(st.integers(-1, 1), min_size=J, max_size=J))
+    return np.array([np.nextafter(base, np.copysign(np.inf, u)) if u else base for u in ulps])
+
+
 def assert_matches_sweep(market, x, relative_jacobian=False):
     """Evaluate with the Jacobian, compare with the sweep oracle, return the evaluation.
 
@@ -167,6 +179,31 @@ class TestJacobian:
         # row sums bounded by the diagonal: outside option absorbs the rest
         assert np.all(jac.sum(axis=1) >= -1e-15)
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_psd_on_random_markets(self, data):
+        # the trust-region floor assumes a Jacobian PSD up to round-off
+        J = data.draw(st.integers(1, 12), label="J")
+        M = data.draw(st.integers(2, 4), label="M")
+        n = data.draw(st.integers(1, 40), label="n")
+        scale = data.draw(st.sampled_from([1.0, 10.0, 1e3, 1e20, 1e200]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="tied"):
+            slopes = draw_tied_slopes(data, J)
+        else:
+            slopes = rng.standard_normal(J)
+        if data.draw(st.booleans(), label="coarse"):
+            # intercepts and utilities on a grid too, so lines coincide
+            rest, nu_rest, u = (0.5 * rng.integers(-2, 3, k) for k in ((J, M - 1), (n, M - 1), J))
+        else:
+            rest = rng.standard_normal((J, M - 1))
+            nu_rest = rng.standard_normal((n, M - 1))
+            u = rng.uniform(-1.0, 1.0, J)
+        z = np.column_stack([slopes, rest])
+        market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(M))
+        jac = market.evaluate(scale * u, want_jacobian=True).jacobian
+        assert np.linalg.eigvalsh(jac)[0] >= -1e-13 * np.max(np.abs(jac))
+
 
 class TestAgainstOracles:
     def test_monte_carlo_choice_share_equivalence(self):
@@ -236,17 +273,7 @@ class TestTiedSlopes:
     def test_random_tied_and_near_tied_slopes(self, data):
         J = data.draw(st.integers(1, 12), label="J")
         n = data.draw(st.integers(1, 40), label="n")
-        if data.draw(st.booleans(), label="grid"):
-            # a 0.5 grid: products tie with each other and with the zero line
-            steps = data.draw(st.lists(st.integers(-4, 4), min_size=J, max_size=J))
-            slopes = 0.5 * np.array(steps, float)
-        else:
-            # one ulp apart: nearly parallel lines cross far out
-            base = data.draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0]))
-            ulps = data.draw(st.lists(st.integers(-1, 1), min_size=J, max_size=J))
-            slopes = np.array(
-                [np.nextafter(base, np.copysign(np.inf, u)) if u else base for u in ulps]
-            )
+        slopes = draw_tied_slopes(data, J)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         if data.draw(st.booleans(), label="coarse"):
             # intercepts on a grid too, so equal-slope lines also coincide
