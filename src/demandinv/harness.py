@@ -16,13 +16,12 @@ from .logit import make_logit_instance
 from .purechar import make_purechar_instance
 from .solvers import METHODS, InversionResult, SolverConfig, invert
 
-FAMILIES = ("logit", "purechar")
-
 # Worker processes for replication-level parallelism; defaults to all cores.
 # Results are folded in replication order, so the setting never changes output.
 WORKERS_ENV = "DEMANDINV_WORKERS"
 
-_MAKERS = {"logit": make_logit_instance, "purechar": make_purechar_instance}
+# The model families a spec may name, each with its seeded instance maker.
+MAKERS = {"logit": make_logit_instance, "purechar": make_purechar_instance}
 
 # A target coordinate (inside or outside share) below this counts as degenerate.
 DEGENERACY_THRESHOLD = 1e-14
@@ -39,11 +38,11 @@ class ExperimentSpec:
     replications: int
     methods: tuple[str, ...] = METHODS
     delta_norm: float = 20.0
-    solver_cfg: SolverConfig = field(default_factory=SolverConfig)
     master_seed: int = 0
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.model_family not in FAMILIES:
+        if self.model_family not in MAKERS:
             raise InvalidInputError(f"unknown model family {self.model_family!r}")
         if self.J < 1 or self.M < 1 or self.n < 1:
             raise InvalidInputError("J, M, n must all be >= 1")
@@ -147,14 +146,14 @@ def _run_replication(spec: ExperimentSpec, replication: int):
     """Worker: build the seeded instance, run every method from one shared start."""
     instance_seed = np.random.SeedSequence([spec.master_seed, replication, 0])
     start_seed = np.random.SeedSequence([spec.master_seed, replication, 1])
-    market, x_star, sigma_star = _MAKERS[spec.model_family](
+    market, x_star, sigma_star = MAKERS[spec.model_family](
         spec.J, spec.M, spec.n, instance_seed
     )
     x0 = perturb_start(x_star, spec.delta_norm, start_seed)
     outcomes = {}
     for method in spec.methods:
         try:
-            outcomes[method] = invert(market, sigma_star, method, x0, spec.solver_cfg)
+            outcomes[method] = invert(market, sigma_star, method, x0, spec.solver)
         except InvalidInputError as exc:
             outcomes[method] = str(exc)
     min_inside = float(sigma_star.min())

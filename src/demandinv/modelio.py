@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .core import InvalidInputError, as_float_array, as_mean_utility, as_share_v
 from .harness import DEGENERACY_THRESHOLD, DegeneracyStats, ExperimentSpec, TraceBand
 from .logit import LogitMarket
 from .purechar import PureCharMarket
-from .solvers import InversionResult, SolverConfig
+from .solvers import InversionResult
 
 ARTIFACT_VERSION = "3"
 
@@ -37,18 +38,6 @@ TRACE_COLUMNS = (
 )
 
 _MODEL_KEYS = {"family", "J", "M", "n", "beta", "z", "nu", "seed"}
-_SPEC_INTEGERS = ("J", "M", "n", "replications", "master_seed")
-_SPEC_KEYS = {
-    "model_family",
-    "J",
-    "M",
-    "n",
-    "replications",
-    "methods",
-    "delta_norm",
-    "solver",
-    "master_seed",
-}
 
 
 def write_json(path, doc) -> None:
@@ -83,12 +72,38 @@ def _typed(doc: dict, key: str, what: str, expected: str, valid):
     return value
 
 
-def _integer(doc: dict, key: str, what: str) -> int:
-    return _typed(doc, key, what, "an integer", lambda v: isinstance(v, int))
+# The JSON value each field type accepts: (what it must be, the check).
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int)),
+    float: ("a number", lambda v: isinstance(v, (int, float))),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[str, ...]: (
+        "a list of method names",
+        lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+    ),
+}
 
 
-def _number(doc: dict, key: str, what: str) -> float:
-    return float(_typed(doc, key, what, "a number", lambda v: isinstance(v, (int, float))))
+def _field(doc: dict, key: str, kind, what: str):
+    """doc[key] checked against _KINDS and converted to `kind`, or a nested dataclass."""
+    if dataclasses.is_dataclass(kind):
+        return _from_doc(kind, doc[key], f"{what} {key}")
+    expected, valid = _KINDS[kind]
+    return kind(_typed(doc, key, what, expected, valid))
+
+
+def _from_doc(cls, doc, what: str):
+    """A `cls` dataclass from a JSON object keyed by its field names; unknown keys,
+    missing fields without a default and mistyped values raise InvalidInputError."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what} must hold a JSON object")
+    fields = dataclasses.fields(cls)
+    missing = dataclasses.MISSING
+    required = [f.name for f in fields if f.default is missing and f.default_factory is missing]
+    _require(doc, required, what)
+    _reject_unknown(doc, [f.name for f in fields], what)
+    kinds = typing.get_type_hints(cls)
+    return cls(**{key: _field(doc, key, kinds[key], what) for key in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +137,7 @@ def market_from_dict(doc):
     _require(doc, ("family", "J", "M", "n", "beta", "z", "nu"), "model file")
     _reject_unknown(doc, _MODEL_KEYS, "model file")
     family = doc["family"]
-    J, M, n = (_integer(doc, key, "model file") for key in ("J", "M", "n"))
+    J, M, n = (_field(doc, key, int, "model file") for key in ("J", "M", "n"))
     z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
     if z.shape != (J, M):
         raise InvalidInputError(f"z has shape {z.shape}, expected ({J}, {M})")
@@ -192,45 +207,13 @@ def load_shares(path):
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "model_family": spec.model_family,
-        "J": spec.J,
-        "M": spec.M,
-        "n": spec.n,
-        "replications": spec.replications,
-        "methods": list(spec.methods),
-        "delta_norm": spec.delta_norm,
-        "master_seed": spec.master_seed,
-        "solver": dataclasses.asdict(spec.solver_cfg),
-    }
+    """The spec file's JSON object: the spec's fields in order, lists for tuples."""
+    doc = dataclasses.asdict(spec)
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
 
 def spec_from_dict(doc) -> ExperimentSpec:
-    what = "experiment spec"
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{what} must hold a JSON object")
-    _require(doc, ("model_family", "J", "M", "n", "replications"), what)
-    _reject_unknown(doc, _SPEC_KEYS, what)
-    solver_doc = doc.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise InvalidInputError("'solver' must be an object of SolverConfig fields")
-    for key, check in (("max_iterations", _integer), ("gradient_tolerance", _number)):
-        if key in solver_doc:
-            check(solver_doc, key, f"{what} solver")
-    try:
-        solver_cfg = SolverConfig(**solver_doc)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad solver settings: {exc}") from None
-    kwargs = {key: _integer(doc, key, what) for key in _SPEC_INTEGERS if key in doc}
-    if "methods" in doc:
-        names = _typed(
-            doc, "methods", what, "a list of method names",
-            lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
-        )
-        kwargs["methods"] = tuple(names)
-    if "delta_norm" in doc:
-        kwargs["delta_norm"] = _number(doc, "delta_norm", what)
-    return ExperimentSpec(model_family=doc["model_family"], solver_cfg=solver_cfg, **kwargs)
+    return _from_doc(ExperimentSpec, doc, "experiment spec")
 
 
 def spec_sha256(spec: ExperimentSpec) -> str:

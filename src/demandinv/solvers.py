@@ -162,16 +162,6 @@ def _tr_step(g, B, radius) -> np.ndarray:
     return p_cauchy + _to_boundary(p_cauchy, d, radius) * d
 
 
-def _cauchy_reduction(g, B, radius) -> float:
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return 0.0
-    gBg = float(g @ (B @ g))
-    tau = 1.0 if gBg <= 0 else min(1.0, gnorm**3 / (radius * gBg))
-    p = -(tau * radius / gnorm) * g
-    return -(float(g @ p) + 0.5 * float(p @ (B @ p)))
-
-
 def _trust_region(method, x, cfg, state) -> InversionResult:
     """Shared trust-region driver, from a validated start x.
 
@@ -179,9 +169,8 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
     (f, g, B, err, scale): objective, gradient, model Hessian, max-norm share
     error, and a magnitude scale for the round-off guard below. The B of the
     start and of each accepted state is floored by _floor_hessian, one eigvalsh
-    each, and the step, the predicted reduction and the Cauchy-decrease check
-    all use the floored B. A rejected trial's B is never used, so it is not
-    floored.
+    each, and both the step and the predicted reduction use the floored B. A
+    rejected trial's B is never used, so it is not floored.
 
     max_iterations bounds trial steps; only accepted steps extend the trace.
     Each trial makes one evaluation, so trials + 1 have been made in all.
@@ -199,9 +188,6 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
         trials += 1
         p = _tr_step(g, B, radius)
         pred = -(float(g @ p) + 0.5 * float(p @ (B @ p)))
-        if __debug__:
-            cauchy = _cauchy_reduction(g, B, radius)
-            assert pred >= cauchy - 1e-9 * max(1.0, abs(cauchy))
         x_trial = x + p
         f_t, g_t, B_t, err_t, scale_t = state(x_trial)
         actual = f - f_t

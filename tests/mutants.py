@@ -31,6 +31,8 @@ CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
 TIES = "tests/test_purechar.py::TestTiedSlopes"
 LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
+MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
+BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -147,6 +149,34 @@ MUTANTS = [
         "g_t, _floor_hessian(B_t), err_t",
         'g_t, B_t if method == "residual_tr" else _floor_hessian(B_t), err_t',
         [PINNED],
+    ),
+    (
+        "dogleg stops halfway to the boundary",
+        "solvers.py",
+        "return -(radius / math.sqrt(gg)) * g",
+        "return -(0.5 * radius / math.sqrt(gg)) * g",
+        [PINNED],
+    ),
+    (
+        "booleans accepted as integers",
+        "modelio.py",
+        "if isinstance(value, bool) or not valid(value):",
+        "if not valid(value):",
+        [MISTYPED_SPEC, BAD_SOLVER],
+    ),
+    (
+        "nested dataclass built unchecked",
+        "modelio.py",
+        'return _from_doc(kind, doc[key], f"{what} {key}")',
+        "return kind(**doc[key])",
+        [BAD_SOLVER],
+    ),
+    (
+        "integer numbers kept as integers",
+        "modelio.py",
+        "return kind(_typed(doc, key, what, expected, valid))",
+        "return _typed(doc, key, what, expected, valid)",
+        ["tests/test_modelio.py::TestSpecFiles::test_integer_numbers_read_as_floats"],
     ),
     (
         "floor without the relative term",

@@ -4,7 +4,8 @@ Everything here is deliberately written from the defining formulas:
 per-consumer Python loops, raw choice simulation, and grid argmax. The only
 library code used is the public `upper_envelope` in the pure-characteristics
 sweep, and that is checked against grid argmax on its own. Slow and simple on
-purpose. `read_trace_csv` reads back the trace files the library writes.
+purpose. `cauchy_reduction` is the decrease every trust-region step must at
+least reach, and `read_trace_csv` reads back the trace files the library writes.
 """
 
 from __future__ import annotations
@@ -214,6 +215,18 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
                 flux[q, p] -= w
     jac = flux[:J, :J] / n if want_jacobian else None
     return welfare / n, width[:J] / n, jac
+
+
+def cauchy_reduction(g, B, radius) -> float:
+    """Model decrease -(g'p + p'Bp/2) at the Cauchy point: the minimizer of the
+    model g'p + p'Bp/2 along -g within `radius` (Nocedal and Wright, Alg. 4.2)."""
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == 0.0:
+        return 0.0
+    gBg = float(g @ (B @ g))
+    tau = 1.0 if gBg <= 0 else min(1.0, gnorm**3 / (radius * gBg))
+    p = -(tau * radius / gnorm) * g
+    return -(float(g @ p) + 0.5 * float(p @ (B @ p)))
 
 
 # The type each trace.csv column is read back as.

@@ -45,7 +45,7 @@ def logit_suite():
         n=500,
         replications=20,
         delta_norm=20.0,
-        solver_cfg=di.SolverConfig(max_iterations=260),
+        solver=di.SolverConfig(max_iterations=260),
         master_seed=MASTER_SEED,
     )
     start = time.perf_counter()
@@ -63,7 +63,7 @@ def purechar_suite():
         replications=20,
         methods=("convex_tr", "residual_tr"),
         delta_norm=20.0,
-        solver_cfg=di.SolverConfig(max_iterations=210),
+        solver=di.SolverConfig(max_iterations=210),
         master_seed=MASTER_SEED,
     )
     start = time.perf_counter()

@@ -17,7 +17,7 @@ def small_logit_spec(**overrides):
         n=30,
         replications=3,
         delta_norm=10.0,
-        solver_cfg=di.SolverConfig(max_iterations=60),
+        solver=di.SolverConfig(max_iterations=60),
         master_seed=1,
     )
     kwargs.update(overrides)
@@ -121,7 +121,7 @@ class TestRunSuite:
     def test_replication_seeding_scheme(self):
         # instance from child [master, r, 0], start from [master, r, 1],
         # shared by all methods within a replication
-        spec = small_logit_spec(replications=2, solver_cfg=di.SolverConfig(max_iterations=0))
+        spec = small_logit_spec(replications=2, solver=di.SolverConfig(max_iterations=0))
         suite = di.run_suite(spec)
         for r in range(2):
             market, x_star, sigma_star = di.make_logit_instance(
@@ -184,7 +184,7 @@ class TestRunSuite:
         assert np.all(band.maximum == band.maximum[0])
 
     def test_degeneracy_statistics(self):
-        spec = small_logit_spec(replications=3, solver_cfg=di.SolverConfig(max_iterations=1))
+        spec = small_logit_spec(replications=3, solver=di.SolverConfig(max_iterations=1))
         suite = di.run_suite(spec)
         deg = suite.degeneracy
         for r in range(3):
@@ -207,7 +207,7 @@ class TestRunSuite:
             n=50,
             replications=4,
             delta_norm=5.0,
-            solver_cfg=di.SolverConfig(max_iterations=40),
+            solver=di.SolverConfig(max_iterations=40),
             master_seed=0,
         )
         suite = di.run_suite(spec)
@@ -224,7 +224,7 @@ class TestRunSuite:
         assert "contraction" in suite.bands.per_method
 
     def test_deterministic_across_runs_and_worker_counts(self, monkeypatch):
-        spec = small_logit_spec(replications=3, solver_cfg=di.SolverConfig(max_iterations=25))
+        spec = small_logit_spec(replications=3, solver=di.SolverConfig(max_iterations=25))
         monkeypatch.delenv(di.WORKERS_ENV, raising=False)
         first = di.run_suite(spec)
         monkeypatch.setenv(di.WORKERS_ENV, "2")
@@ -241,7 +241,7 @@ class TestRunSuite:
         assert np.array_equal(first.degeneracy.min_overall, second.degeneracy.min_overall)
 
     def test_invalid_worker_env_rejected(self, monkeypatch):
-        spec = small_logit_spec(replications=2, solver_cfg=di.SolverConfig(max_iterations=1))
+        spec = small_logit_spec(replications=2, solver=di.SolverConfig(max_iterations=1))
         monkeypatch.setenv(di.WORKERS_ENV, "zero")
         with pytest.raises(di.InvalidInputError):
             di.run_suite(spec)

@@ -14,6 +14,14 @@ from oracles import read_trace_csv
 
 SPECS_DIR = Path(__file__).parents[1] / "specs"
 
+# spec_sha256 of each shipped spec; manifest.json records it, so it must not drift.
+SHIPPED_SPEC_SHA256 = {
+    "logit_desk.json": "b8fb6f7369f05bd051ad28586b1e0a120d650b960b2eded60c87a6a88701b60a",
+    "logit_paper.json": "57efa27fde752c898249c328ecda00aae07790ff02e328f0ffa6f6029dcb47e0",
+    "purechar_desk.json": "7952f238ef37ec04e41abba937be4aa45fc5b8d9431c883d3863cf5338842cd0",
+    "purechar_paper.json": "097a4446de2a98d5e277d5ed258450d33dbd51034ecf0ecb2a85a2dbf1573c8f",
+}
+
 
 @pytest.fixture()
 def logit_triple():
@@ -132,14 +140,29 @@ class TestSpecFiles:
             replications=6,
             methods=("convex_tr", "contraction"),
             delta_norm=7.5,
-            solver_cfg=di.SolverConfig(max_iterations=80, gradient_tolerance=1e-12),
+            solver=di.SolverConfig(max_iterations=80, gradient_tolerance=1e-12),
             master_seed=9,
         )
 
     def test_round_trip(self):
         spec = self.spec()
-        back = modelio.spec_from_dict(modelio.spec_to_dict(spec))
+        doc = modelio.spec_to_dict(spec)
+        # The spec file's key order, which manifest.json keeps.
+        assert list(doc) == [
+            "model_family", "J", "M", "n", "replications",
+            "methods", "delta_norm", "master_seed", "solver",
+        ]
+        assert doc["methods"] == ["convex_tr", "contraction"]
+        back = modelio.spec_from_dict(doc)
         assert back == spec
+
+    def test_integer_numbers_read_as_floats(self):
+        doc = {"model_family": "logit", "J": 3, "M": 2, "n": 10, "replications": 2,
+               "delta_norm": 5, "solver": {"gradient_tolerance": 1}}
+        spec = modelio.spec_from_dict(doc)
+        assert type(spec.delta_norm) is float and spec.delta_norm == 5.0
+        assert type(spec.solver.gradient_tolerance) is float
+        assert spec.solver.gradient_tolerance == 1.0
 
     def test_defaults_fill_in(self):
         doc = {"model_family": "logit", "J": 3, "M": 2, "n": 10, "replications": 2}
@@ -147,7 +170,7 @@ class TestSpecFiles:
         assert spec.methods == di.METHODS
         assert spec.delta_norm == 20.0
         assert spec.master_seed == 0
-        assert spec.solver_cfg == di.SolverConfig()
+        assert spec.solver == di.SolverConfig()
 
     def test_unknown_keys_rejected(self):
         doc = modelio.spec_to_dict(self.spec())
@@ -164,9 +187,11 @@ class TestSpecFiles:
     def test_shipped_specs_round_trip(self):
         paths = sorted(SPECS_DIR.glob("*.json"))
         assert paths
+        assert [path.name for path in paths] == sorted(SHIPPED_SPEC_SHA256)
         for path in paths:
             spec = modelio.spec_from_dict(modelio.read_json(path))
             assert modelio.spec_from_dict(modelio.spec_to_dict(spec)) == spec, path.name
+            assert modelio.spec_sha256(spec) == SHIPPED_SPEC_SHA256[path.name]
 
     def test_hash_is_stable_and_discriminating(self):
         a = modelio.spec_sha256(self.spec())
@@ -186,7 +211,7 @@ class TestTraceCSV:
             n=20,
             replications=2,
             delta_norm=5.0,
-            solver_cfg=di.SolverConfig(max_iterations=30),
+            solver=di.SolverConfig(max_iterations=30),
             master_seed=2,
         )
         return di.run_suite(spec)
@@ -238,7 +263,7 @@ class TestRunArtifacts:
             n=15,
             replications=2,
             delta_norm=5.0,
-            solver_cfg=di.SolverConfig(max_iterations=20),
+            solver=di.SolverConfig(max_iterations=20),
             master_seed=4,
         )
         suite = di.run_suite(spec)

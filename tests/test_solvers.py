@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demandinv as di
-from demandinv.solvers import _cauchy_reduction, _floor_hessian, _tr_step
+from demandinv.solvers import _floor_hessian, _tr_step
+from oracles import cauchy_reduction
 
 
 def plain_logit(J):
@@ -135,7 +136,7 @@ class TestTrustRegionStep:
         assert np.all(np.isfinite(p))
         assert np.linalg.norm(p) <= radius * (1 + 1e-12)
         pred = -(g @ p + 0.5 * p @ (floored @ p))
-        cauchy = _cauchy_reduction(g, floored, radius)
+        cauchy = cauchy_reduction(g, floored, radius)
         assert pred >= cauchy - 1e-9 * max(1.0, abs(cauchy))
         # With B unshifted, its condition number can reach 1 / (64 eps), so a
         # solve's forward error reaches about 1/64: test Newton steps well inside
@@ -468,11 +469,23 @@ PINNED_WORK = {
 
 
 @pytest.mark.parametrize("family, method, budget", sorted(PINNED_WORK), ids=str)
-def test_pinned_solver_work(family, method, budget):
+def test_pinned_solver_work(family, method, budget, monkeypatch):
     if family == "logit":
         market, x_star, sigma_star = di.make_logit_instance(4, 2, 30, seed=2)
     else:
         market, x_star, sigma_star = di.make_purechar_instance(4, 3, 30, seed=0)
+    trials = []
+
+    def checked_step(g, B, radius):
+        """_tr_step, checked to reach the Cauchy decrease on the B it was given."""
+        p = _tr_step(g, B, radius)
+        pred = -(float(g @ p) + 0.5 * float(p @ (B @ p)))
+        cauchy = cauchy_reduction(g, B, radius)
+        assert pred >= cauchy - 1e-9 * max(1.0, abs(cauchy))
+        trials.append(radius)
+        return p
+
+    monkeypatch.setattr("demandinv.solvers._tr_step", checked_step)
     x0 = di.perturb_start(x_star, 10.0, seed=1)
     cfg = di.SolverConfig(max_iterations=budget)
     res = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
@@ -480,3 +493,5 @@ def test_pinned_solver_work(family, method, budget):
     assert res.eval_counts == dict(zip(("welfare", "shares", "jacobian"), counts))
     assert res.iterations_used == iterations
     assert res.eval_trace[[0, -1]].tolist() == [list(first), list(last)]
+    # One step per trial, and every trial makes one evaluation after the start's.
+    assert len(trials) == (0 if method == "contraction" else res.eval_counts["shares"] - 1)
