@@ -50,8 +50,8 @@ class ExperimentSpec:
             raise InvalidInputError("purechar needs M >= 2")
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
-        if not self.delta_norm >= 0:
-            raise InvalidInputError("delta_norm must be >= 0")
+        if not 0 <= self.delta_norm < math.inf:
+            raise InvalidInputError("delta_norm must be finite and >= 0")
         if self.master_seed < 0:
             raise InvalidInputError("master_seed must be >= 0")
         methods = tuple(self.methods)
@@ -112,8 +112,8 @@ def perturb_start(x_star, delta_norm: float, seed):
     """x* plus a seeded perturbation of exact Euclidean length delta_norm,
     drawn uniformly on the sphere (normalized Gaussian direction)."""
     x_star = as_mean_utility(x_star)
-    if not delta_norm >= 0:
-        raise InvalidInputError("delta_norm must be >= 0")
+    if not 0 <= delta_norm < math.inf:
+        raise InvalidInputError("delta_norm must be finite and >= 0")
     if delta_norm == 0:
         return x_star.copy()
     root = as_seed_sequence(seed)

@@ -41,6 +41,10 @@ class LogitMarket(DemandModel):
         if nu.ndim != 2 or nu.shape[0] < 1 or nu.shape[1] != M:
             raise InvalidInputError(f"nu must be (n, {M}) with n >= 1, got {nu.shape}")
         set_frozen_array(self, "beta", self.beta, shape=(M,))
+        # (J, n) utilities net of x; not a field, so equality and model files never see it
+        zn = np.ascontiguousarray(z @ nu.T)
+        zn.setflags(write=False)
+        object.__setattr__(self, "_zn", zn)
 
     @property
     def J(self) -> int:
@@ -63,17 +67,23 @@ class LogitMarket(DemandModel):
         exact zero shares.
         """
         x = as_mean_utility(x, self.J)
-        v = self.nu @ self.z.T + x  # (n, J) systematic utilities
-        shift = np.maximum(v.max(axis=1), 0.0)
-        expv = np.exp(v - shift[:, None])
-        denom = np.exp(-shift) + expv.sum(axis=1)
-        log_denom = shift + np.log(denom)
-        probs = expv / denom[:, None]  # (n, J) per-consumer choice probabilities
-        shares = probs.mean(axis=0)
-        welfare = float(log_denom.mean()) + EULER_GAMMA
+        v = self._zn + x[:, None]  # (J, n) systematic utilities, a fresh array
+        shift = np.maximum(v.max(axis=0), 0.0)
+        v -= shift
+        np.exp(v, out=v)
+        outside = np.exp(-shift)
+        denom = outside + v.sum(axis=0)
+        welfare = float((shift + np.log(denom)).mean()) + EULER_GAMMA
+        v /= denom  # (J, n) per-consumer choice probabilities
+        shares = v.mean(axis=1)
         jac = None
         if want_jacobian:
-            jac = np.diag(shares) - probs.T @ probs / self.n
+            cross = v @ v.T
+            np.fill_diagonal(cross, 0.0)
+            # the diagonal p_j (p_0 + sum_{k != j} p_k) adds nonnegative terms, so it
+            # cannot cancel to 0 where p_j rounds to 1
+            np.fill_diagonal(cross, -(v @ (outside / denom) + cross.sum(axis=1)))
+            jac = cross / -self.n
         return ModelEvaluation(welfare, shares, jac)
 
 

@@ -89,7 +89,11 @@ def _field(doc: dict, key: str, kind, what: str):
     if dataclasses.is_dataclass(kind):
         return _from_doc(kind, doc[key], f"{what} {key}")
     expected, valid = _KINDS[kind]
-    return kind(_typed(doc, key, what, expected, valid))
+    value = _typed(doc, key, what, expected, valid)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer beyond the range of a double
+        raise InvalidInputError(f"{what}: {key!r} must fit in a double, got {value!r:.40}") from None
 
 
 def _from_doc(cls, doc, what: str):

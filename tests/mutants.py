@@ -30,6 +30,8 @@ PINNED = "tests/test_solvers.py::test_pinned_solver_work"
 CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
 TIES = "tests/test_purechar.py::TestTiedSlopes"
 LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
+LOGIT_PSD = "tests/test_logit.py::TestInvariants::test_jacobian_psd_on_random_markets"
+LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_and_unchanged"
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
@@ -74,16 +76,30 @@ MUTANTS = [
     (
         "logit shift not clamped at 0",
         "logit.py",
-        "shift = np.maximum(v.max(axis=1), 0.0)",
-        "shift = v.max(axis=1)",
+        "shift = np.maximum(v.max(axis=0), 0.0)",
+        "shift = v.max(axis=0)",
         [LOGIT_PROPERTY],
     ),
     (
         "logit shift not added back to the log-sum",
         "logit.py",
-        "log_denom = shift + np.log(denom)",
-        "log_denom = np.log(denom)",
+        "float((shift + np.log(denom)).mean())",
+        "float(np.log(denom).mean())",
         [LOGIT_PROPERTY],
+    ),
+    (
+        "Jacobian diagonal as shares - mean(p²)",
+        "logit.py",
+        "np.fill_diagonal(cross, -(v @ (outside / denom) + cross.sum(axis=1)))",
+        "np.fill_diagonal(cross, -self.n * (shares - (v * v).mean(axis=1)))",
+        [LOGIT_PSD],
+    ),
+    (
+        "evaluate writes into the cached utilities",
+        "logit.py",
+        "v = self._zn + x[:, None]",
+        "v = self._zn; v.setflags(write=True); v += x[:, None]",
+        [LOGIT_CACHE],
     ),
     (
         "trailing rejected trials dropped from eval_counts",
@@ -174,8 +190,8 @@ MUTANTS = [
     (
         "integer numbers kept as integers",
         "modelio.py",
-        "return kind(_typed(doc, key, what, expected, valid))",
-        "return _typed(doc, key, what, expected, valid)",
+        "return kind(value)",
+        "return value",
         ["tests/test_modelio.py::TestSpecFiles::test_integer_numbers_read_as_floats"],
     ),
     (

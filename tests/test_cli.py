@@ -2,6 +2,7 @@
 exercised in process through main(argv)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -451,6 +452,33 @@ class TestSimulate:
         code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("value, literal", [(math.inf, "Infinity"), (math.nan, "NaN")])
+    def test_nonfinite_delta_norm_is_usage_error(self, tmp_path, capsys, value, literal):
+        doc = self.spec_doc()
+        doc["delta_norm"] = value
+        spec_path = self.write_spec(tmp_path, doc)
+        assert f'"delta_norm": {literal}' in spec_path.read_text()
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delta_norm must be finite and >= 0\n"
+
+    @pytest.mark.parametrize("where", ["spec", "solver"])
+    def test_number_beyond_double_range_is_usage_error(self, tmp_path, capsys, where):
+        # Python's JSON reader keeps a huge integer exact; float() of it overflows
+        huge = 10**400
+        doc = self.spec_doc()
+        if where == "spec":
+            key, what = "delta_norm", "experiment spec"
+            doc[key] = huge
+        else:
+            key, what = "gradient_tolerance", "experiment spec solver"
+            doc["solver"][key] = huge
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        expected = f"error: {what}: {key!r} must fit in a double, got {str(huge)[:40]}\n"
+        assert capsys.readouterr().err == expected
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli("simulate", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "r")

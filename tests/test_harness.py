@@ -62,6 +62,11 @@ class TestPerturbStart:
         with pytest.raises(di.InvalidInputError):
             di.perturb_start(np.zeros(2), -1.0, seed=0)
 
+    @pytest.mark.parametrize("delta_norm", [math.inf, math.nan])
+    def test_nonfinite_delta_rejected(self, delta_norm):
+        with pytest.raises(di.InvalidInputError, match="delta_norm must be finite and >= 0"):
+            di.perturb_start(np.zeros(2), delta_norm, seed=0)
+
 
 class TestEmpiricalRate:
     def test_geometric_trace_recovers_modulus(self):
@@ -102,6 +107,7 @@ class TestExperimentSpec:
             {"master_seed": -1},
             {"methods": ()},
             {"methods": ("newton",)},
+            {"delta_norm": math.inf},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

@@ -152,11 +152,6 @@ class TestInvariants:
             gradient = finite_difference_gradient(market, x)
             assert np.max(np.abs(gradient - ev.shares)) <= 1e-7
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="diag(shares) - P'P/n cancels to 0 where a choice probability rounds to 1, "
-        "leaving eigenvalues down to -0.79 max|entry| when all entries are tiny",
-    )
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_jacobian_psd_on_random_markets(self, data):
@@ -172,6 +167,50 @@ class TestInvariants:
         market = di.LogitMarket(z=z, nu=rng.standard_normal((n, M)), beta=np.ones(M))
         jac = market.evaluate(scale * rng.uniform(-1.0, 1.0, J), want_jacobian=True).jacobian
         assert np.linalg.eigvalsh(jac)[0] >= -1e-13 * np.max(np.abs(jac))
+
+
+class TestCachedUtilities:
+    """evaluate works on the (J, n) utilities z nu' that the market caches."""
+
+    @staticmethod
+    def instance():
+        return di.make_logit_instance(10, 3, 200, seed=31)
+
+    def test_repeat_calls_bit_identical(self):
+        market, x_star, _ = self.instance()
+        x = x_star + 0.3
+        first = market.evaluate(x, want_jacobian=True)
+        second = market.evaluate(x, want_jacobian=True)
+        assert first.welfare == second.welfare
+        assert np.array_equal(first.shares, second.shares)
+        assert np.array_equal(first.jacobian, second.jacobian)
+        shares_only = market.evaluate(x)
+        assert shares_only.welfare == first.welfare
+        assert np.array_equal(shares_only.shares, first.shares)
+
+    def test_cache_read_only_and_unchanged(self):
+        market, x_star, _ = self.instance()
+        cache = market._zn
+        assert cache.shape == (market.J, market.n) and cache.flags.c_contiguous
+        assert not cache.flags.writeable
+        before = cache.copy()
+        for offset in (50.0, -30.0):
+            market.evaluate(x_star + offset)
+            market.evaluate(x_star + offset, want_jacobian=True)
+        assert np.array_equal(cache, before)
+        assert_allclose(cache, market.z @ market.nu.T, rtol=0, atol=1e-13)
+        with pytest.raises(ValueError):
+            cache[0, 0] = 1.0
+
+    @pytest.mark.parametrize("offset", [0.3, 50.0, -30.0])
+    def test_matches_reference_loop(self, offset):
+        market, x_star, _ = self.instance()
+        x = x_star + offset
+        ev = market.evaluate(x, want_jacobian=True)
+        ref_w, ref_s, ref_j = logit_reference(market.z, market.nu, x)
+        assert abs(ev.welfare - ref_w) <= 1e-13 * max(1.0, abs(ref_w))
+        assert np.max(np.abs(ev.shares - ref_s)) <= 1e-13
+        assert np.max(np.abs(ev.jacobian - ref_j)) <= 1e-13
 
 
 class TestInstanceConstruction:
