@@ -89,6 +89,27 @@ def set_frozen_array(obj, name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def check_market_size(J: int, M: int, n: int, min_M: int = 1) -> None:
+    """Raise InvalidInputError unless J >= 1, M >= min_M and n >= 1, and the
+    (J, M), (n, M) and (J, n) arrays of such a market have element counts
+    that numpy can index."""
+    if J < 1 or M < min_M or n < 1:
+        raise InvalidInputError(f"need J >= 1, M >= {min_M}, n >= 1")
+    if max(J * M, n * M, J * n) > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"market too large to index: J={J}, M={M}, n={n}")
+
+
+def frozen_product(a, b, name: str) -> np.ndarray:
+    """a @ b as a read-only array; InvalidInputError when an entry overflows a
+    double, which would make every later evaluation fail."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+    if not np.all(np.isfinite(product)):
+        raise InvalidInputError(f"{name} overflows a double")
+    product.setflags(write=False)
+    return product
+
+
 @dataclass(frozen=True, eq=False)
 class ModelEvaluation:
     """Welfare, shares, and optionally the share Jacobian at one utility point.

@@ -13,6 +13,8 @@ from .core import (
     ModelEvaluation,
     as_mean_utility,
     as_seed_sequence,
+    check_market_size,
+    frozen_product,
     set_frozen_array,
 )
 
@@ -42,9 +44,7 @@ class LogitMarket(DemandModel):
             raise InvalidInputError(f"nu must be (n, {M}) with n >= 1, got {nu.shape}")
         set_frozen_array(self, "beta", self.beta, shape=(M,))
         # (J, n) utilities net of x; not a field, so equality and model files never see it
-        zn = np.ascontiguousarray(z @ nu.T)
-        zn.setflags(write=False)
-        object.__setattr__(self, "_zn", zn)
+        object.__setattr__(self, "_zn", frozen_product(z, nu.T, "z @ nu.T"))
 
     @property
     def J(self) -> int:
@@ -97,8 +97,7 @@ def make_logit_instance(J: int, M: int, n: int, seed):
     Returns:
         (market, x_star, sigma_star)
     """
-    if J < 1 or M < 1 or n < 1:
-        raise InvalidInputError("J, M, n must all be >= 1")
+    check_market_size(J, M, n)
     root = as_seed_sequence(seed)
     ss_beta, ss_z, ss_nu = root.spawn(3)
     beta = np.random.Generator(np.random.Philox(ss_beta)).random(M)

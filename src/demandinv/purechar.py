@@ -23,6 +23,8 @@ from .core import (
     ModelEvaluation,
     as_mean_utility,
     as_seed_sequence,
+    check_market_size,
+    frozen_product,
     set_frozen_array,
 )
 
@@ -150,6 +152,8 @@ class PureCharMarket(DemandModel):
         beta = set_frozen_array(self, "beta", self.beta, shape=(M,))
         if beta[0] != 1.0:
             raise InvalidInputError(f"beta[0] must be exactly 1, got {beta[0]!r}")
+        # (n, J) intercepts net of x; like LogitMarket's cache, not a field
+        object.__setattr__(self, "_nz", frozen_product(nu, z[:, 1:].T, "nu_rest @ z[:, 1:].T"))
 
         # Slope data shared by every consumer, precomputed once. The K = J+1
         # lines (products, then the zero line at index J) fall into G groups of
@@ -187,7 +191,7 @@ class PureCharMarket(DemandModel):
     def intercepts(self, x) -> np.ndarray:
         """Per-consumer line intercepts a_ij = x_j + z_j[1:]'nu_i, shape (n, J)."""
         x = as_mean_utility(x, self.J)
-        return x + self.nu_rest @ self.z[:, 1:].T
+        return x + self._nz
 
     def _group_lines(self, block):
         """Each slope group's highest intercept per consumer, (m, G), and, when
@@ -294,8 +298,7 @@ def make_purechar_instance(J: int, M: int, n: int, seed):
     Returns:
         (market, x_star, sigma_star)
     """
-    if J < 1 or M < 2 or n < 1:
-        raise InvalidInputError("need J >= 1, M >= 2, n >= 1")
+    check_market_size(J, M, n, min_M=2)
     root = as_seed_sequence(seed)
     ss_beta, ss_z, ss_nu = root.spawn(3)
     beta = np.concatenate([[1.0], np.random.Generator(np.random.Philox(ss_beta)).random(M - 1)])

@@ -3,9 +3,9 @@ objective, and a Gauss-Newton trust-region on the share residual.
 
 All three stop on the same criterion, the max norm of sigma(x) - sigma*, and
 report the same result shape so traces are directly comparable. The two
-trust-region methods share one loop and one step: each model Hessian gets a
-Levenberg floor that makes it safely positive definite, and the dogleg solves
-the subproblem on the floored model.
+trust-region methods share one loop and one step: each model Hessian gets one
+eigendecomposition and a Levenberg floor, and the dogleg solves the subproblem
+on the floored model in its eigenbasis, where that model is diagonal.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DemandModel,
@@ -128,36 +127,34 @@ def _to_boundary(z, d, radius) -> float:
     return (-zd + math.sqrt(zd * zd + dd * slack)) / dd
 
 
-def _floor_hessian(B) -> np.ndarray:
-    """B with a Levenberg shift that lifts its smallest eigenvalue to at least
-    max(REGULARIZATION_FLOOR, max(64, J(J+1)) eps max|eigenvalue|) for a J x J
-    B; B itself if already there.
+def _floor_hessian(B) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) from one eigh of the J x J B = V diag(eig) V': lam is eig plus
+    a Levenberg shift that lifts its smallest entry to at least
+    max(REGULARIZATION_FLOOR, max(64, J(J+1)) eps max|eig|), or eig if there.
 
-    The relative term keeps badly scaled models, with entries far from 1,
-    safely positive definite for the Cholesky factorization in _tr_step; its
-    J(J+1) follows the worst-case bound under which Cholesky completes
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.7).
+    The relative term is needed because computed eigenvalues are accurate only
+    to about J eps max|eig|, and eig + shift is rounded at that scale: an
+    absolute floor alone rounds away on badly scaled B and leaves a lam <= 0.
     """
-    eig = np.linalg.eigvalsh(B)
+    eig, V = np.linalg.eigh(B)
     J = B.shape[0]
     floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-eig[0], eig[-1]))
     if eig[0] >= floor:
-        return B
-    return B + (floor + max(0.0, -eig[0])) * np.eye(J)
+        return eig, V
+    return eig + (floor + max(0.0, -eig[0])), V
 
 
-def _tr_step(g, B, radius) -> np.ndarray:
-    """Dogleg step on the model g'p + p'Bp/2 within `radius`; B positive definite."""
-    c, low = scipy.linalg.cho_factor(B)
-    p_newton = scipy.linalg.cho_solve((c, low), -g)
+def _tr_step(gt, lam, radius) -> np.ndarray:
+    """Dogleg step on the model gt'p + p'diag(lam)p/2 within `radius`; lam > 0."""
+    p_newton = -gt / lam
     if float(np.linalg.norm(p_newton)) <= radius:
         return p_newton
-    gg = float(g @ g)
-    gBg = float(g @ (B @ g))
-    p_cauchy = -(gg / gBg) * g
+    gg = float(gt @ gt)
+    gBg = float(lam @ gt**2)
+    p_cauchy = -(gg / gBg) * gt
     norm_cauchy = float(np.linalg.norm(p_cauchy))
     if norm_cauchy >= radius:
-        return -(radius / math.sqrt(gg)) * g
+        return -(radius / math.sqrt(gg)) * gt
     d = p_newton - p_cauchy
     return p_cauchy + _to_boundary(p_cauchy, d, radius) * d
 
@@ -168,15 +165,16 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
     `state(x)` performs one full model evaluation and returns
     (f, g, B, err, scale): objective, gradient, model Hessian, max-norm share
     error, and a magnitude scale for the round-off guard below. The B of the
-    start and of each accepted state is floored by _floor_hessian, one eigvalsh
-    each, and both the step and the predicted reduction use the floored B. A
-    rejected trial's B is never used, so it is not floored.
+    start and of each accepted state gets one eigh in _floor_hessian, and each
+    trial steps in that eigenbasis, on gt = V'g, with the floored eigenvalues
+    lam. A rejected trial's B is never used, so it is not factorized.
 
     max_iterations bounds trial steps; only accepted steps extend the trace.
     Each trial makes one evaluation, so trials + 1 have been made in all.
     """
     f, g, B, err, scale = state(x)
-    B = _floor_hessian(B)
+    lam, V = _floor_hessian(B)
+    gt = V.T @ g
     best_err = err
     best_x = x.copy()
     trace = [best_err]
@@ -186,9 +184,9 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
     trials = 0
     while best_err > cfg.gradient_tolerance and trials < cfg.max_iterations:
         trials += 1
-        p = _tr_step(g, B, radius)
-        pred = -(float(g @ p) + 0.5 * float(p @ (B @ p)))
-        x_trial = x + p
+        pt = _tr_step(gt, lam, radius)
+        pred = -(float(gt @ pt) + 0.5 * float(lam @ pt**2))
+        x_trial = x + V @ pt
         f_t, g_t, B_t, err_t, scale_t = state(x_trial)
         actual = f - f_t
         # Near the solution both objective values agree to all representable
@@ -203,8 +201,9 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
         else:
             rho = actual / pred
         if rho >= ACCEPT_RATIO:
-            hit_boundary = float(np.linalg.norm(p)) >= (1.0 - 1e-6) * radius
-            x, f, g, B, err, scale = x_trial, f_t, g_t, _floor_hessian(B_t), err_t, scale_t
+            hit_boundary = float(np.linalg.norm(pt)) >= (1.0 - 1e-6) * radius
+            lam, V = _floor_hessian(B_t)
+            x, f, gt, err, scale = x_trial, f_t, V.T @ g_t, err_t, scale_t
             if err < best_err:
                 best_err = err
                 best_x = x.copy()

@@ -35,6 +35,8 @@ LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_an
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
+LOGIT_BUILD = "tests/test_logit.py::TestInstanceConstruction"
+PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -162,16 +164,54 @@ MUTANTS = [
     (
         "residual_tr skips the floor",
         "solvers.py",
-        "g_t, _floor_hessian(B_t), err_t",
-        'g_t, B_t if method == "residual_tr" else _floor_hessian(B_t), err_t',
+        "lam, V = _floor_hessian(B_t)",
+        'lam, V = np.linalg.eigh(B_t) if method == "residual_tr" else _floor_hessian(B_t)',
         [PINNED],
     ),
     (
         "dogleg stops halfway to the boundary",
         "solvers.py",
-        "return -(radius / math.sqrt(gg)) * g",
-        "return -(0.5 * radius / math.sqrt(gg)) * g",
+        "return -(radius / math.sqrt(gg)) * gt",
+        "return -(0.5 * radius / math.sqrt(gg)) * gt",
         [PINNED],
+    ),
+    (
+        "Newton step divides by the unshifted eigenvalues",
+        "solvers.py",
+        "return eig + (floor + max(0.0, -eig[0])), V",
+        "return eig, V",
+        [STEP_PROPERTY],
+    ),
+    (
+        "predicted reduction drops the lam weights",
+        "solvers.py",
+        "0.5 * float(lam @ pt**2)",
+        "0.5 * float(pt @ pt)",
+        [PINNED],
+    ),
+    (
+        "gradient rotated by V, not V'",
+        "solvers.py",
+        "V.T @ g_t",
+        "V @ g_t",
+        [PINNED],
+    ),
+    (
+        "overflowing utility product accepted",
+        "core.py",
+        "if not np.all(np.isfinite(product)):",
+        "if False:",
+        [
+            f"{LOGIT_BUILD}::test_overflowing_utilities_rejected",
+            f"{PURECHAR_BUILD}::test_overflowing_intercepts_rejected",
+        ],
+    ),
+    (
+        "market sizes numpy cannot index passed on",
+        "core.py",
+        "if max(J * M, n * M, J * n) > np.iinfo(np.intp).max:",
+        "if False:",
+        [f"{LOGIT_BUILD}::test_sizes_numpy_cannot_index_rejected"],
     ),
     (
         "booleans accepted as integers",

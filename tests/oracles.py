@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from the defining formulas:
 per-consumer Python loops, raw choice simulation, and grid argmax. The only
-library code used is the public `upper_envelope` in the pure-characteristics
-sweep, and that is checked against grid argmax on its own. Slow and simple on
-purpose. `cauchy_reduction` is the decrease every trust-region step must at
-least reach, and `read_trace_csv` reads back the trace files the library writes.
+library code an oracle uses is the public `upper_envelope` in the
+pure-characteristics sweep, and that is checked against grid argmax on its
+own. Slow and simple on purpose. `cauchy_reduction` is the decrease every
+trust-region step must at least reach, `floored_step` takes the solvers' trial
+step in the coordinates of its inputs, and `read_trace_csv` reads back the
+trace files the library writes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.special import ndtr
 
 import demandinv as di
 from demandinv.modelio import TRACE_COLUMNS
+from demandinv.solvers import _floor_hessian, _tr_step
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -227,6 +230,17 @@ def cauchy_reduction(g, B, radius) -> float:
     tau = 1.0 if gBg <= 0 else min(1.0, gnorm**3 / (radius * gBg))
     p = -(tau * radius / gnorm) * g
     return -(float(g @ p) + 0.5 * float(p @ (B @ p)))
+
+
+def floored_step(g, B, radius):
+    """The trust-region trial step from a state with gradient g and model
+    Hessian B: B floored by _floor_hessian into eigenvalues lam and vectors V,
+    the dogleg taken on V'g and diag(lam), and the step rotated back.
+
+    Returns (p, floored), floored = V diag(lam) V' the model Hessian p is for.
+    """
+    lam, V = _floor_hessian(B)
+    return V @ _tr_step(V.T @ g, lam, radius), (V * lam) @ V.T
 
 
 # The type each trace.csv column is read back as.

@@ -14,9 +14,9 @@ import demandinv as di
 from conftest import record_criterion
 from demandinv import modelio
 from demandinv.cli import EXIT_OK, main
-from demandinv.solvers import _tr_step
 from oracles import (
     finite_difference_gradient,
+    floored_step,
     mc_logit_shares,
     mc_purechar_shares,
     mc_standard_errors,
@@ -251,7 +251,7 @@ def test_criterion_8_newton_equivalence():
         ev = market.evaluate(x, want_jacobian=True)
         gradient = ev.shares - sigma_star
         assert np.linalg.eigvalsh(ev.jacobian)[0] > 0.0
-        step = _tr_step(gradient, ev.jacobian, 1e12)
+        step, _ = floored_step(gradient, ev.jacobian, 1e12)
         newton = -np.linalg.solve(ev.jacobian, gradient)
         worst = max(worst, float(np.max(np.abs(step - newton))))
     check(

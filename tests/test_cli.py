@@ -78,6 +78,16 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "m.json").exists()
 
+    def test_size_numpy_cannot_index_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "generate", "--family", "logit", "--J", 10**20, "--M", 2, "--n", 5,
+            "--out", tmp_path / "m.json",
+        )
+        assert code == EXIT_USAGE
+        expected = f"error: market too large to index: J={10**20}, M=2, n=5\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "m.json").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         code = run_cli(
             "generate", "--family", "logit", "--J", 2, "--M", 1, "--n", 2,
@@ -294,6 +304,18 @@ class TestInvert:
         err = capsys.readouterr().err
         assert err == f"error: model file: {key!r} must be {expected}\n"
 
+    def test_overflowing_model_is_usage_error(self, tmp_path, capsys):
+        model_path = generate(tmp_path, J=2, M=1, n=2)
+        doc = modelio.read_json(model_path)
+        doc["z"], doc["nu"] = [[1e200], [1.0]], [[1e200], [1.0]]
+        modelio.write_json(model_path, doc)
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", "0.2,0.2", "--out", tmp_path / "r.json"
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: z @ nu.T overflows a double\n"
+
     def test_gibberish_inline_shares(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(
@@ -478,6 +500,16 @@ class TestSimulate:
         code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
         assert code == EXIT_USAGE
         expected = f"error: {what}: {key!r} must fit in a double, got {str(huge)[:40]}\n"
+        assert capsys.readouterr().err == expected
+
+    def test_size_numpy_cannot_index_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(di.WORKERS_ENV, "1")
+        doc = self.spec_doc()
+        doc["J"] = 10**20
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        expected = f"error: market too large to index: J={10**20}, M=2, n=15\n"
         assert capsys.readouterr().err == expected
 
     def test_missing_spec_file_is_io_error(self, tmp_path):

@@ -255,6 +255,22 @@ class TestInstanceConstruction:
         with pytest.raises(di.InvalidInputError):
             di.LogitMarket(z=np.full((2, 2), np.nan), nu=np.zeros((3, 2)), beta=np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "z, nu",
+        [([[1e200], [1.0]], [[1e200], [1.0]]), ([[1e200]], [[-1e200], [1.0]])],
+        ids=["plus_inf", "minus_inf"],
+    )
+    def test_overflowing_utilities_rejected(self, z, nu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(di.InvalidInputError, match="overflows a double"):
+                di.LogitMarket(z=z, nu=nu, beta=np.ones(len(z[0])))
+
+    @pytest.mark.parametrize("size", [(10**20, 2, 5), (3, 10**20, 5), (3, 2, 10**20)])
+    def test_sizes_numpy_cannot_index_rejected(self, size):
+        with pytest.raises(di.InvalidInputError, match="too large to index"):
+            di.make_logit_instance(*size, seed=0)
+
     def test_arrays_frozen_and_beta_inert(self):
         market, _, _ = di.make_logit_instance(3, 2, 10, seed=1)
         with pytest.raises(ValueError):

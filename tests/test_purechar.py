@@ -354,6 +354,25 @@ class TestInstanceConstruction:
             # taste draws must match M - 1 columns
             di.PureCharMarket(z=np.ones((2, 3)), nu_rest=np.zeros((3, 1)), beta=np.ones(3))
 
+    def test_overflowing_intercepts_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(di.InvalidInputError, match="overflows a double"):
+                di.PureCharMarket(
+                    z=[[0.5, 1e200], [0.1, 1.0]], nu_rest=[[1e200], [1.0]], beta=[1.0, 1.0]
+                )
+
+    def test_cached_intercepts_read_only_and_exact(self):
+        market, x_star, _ = di.make_purechar_instance(4, 3, 30, seed=2)
+        assert not market._nz.flags.writeable
+        expected = x_star + market.nu_rest @ market.z[:, 1:].T
+        assert np.array_equal(market.intercepts(x_star), expected)
+
+    @pytest.mark.parametrize("size", [(10**20, 2, 5), (3, 10**20, 5), (3, 2, 10**20)])
+    def test_sizes_numpy_cannot_index_rejected(self, size):
+        with pytest.raises(di.InvalidInputError, match="too large to index"):
+            di.make_purechar_instance(*size, seed=0)
+
     def test_arrays_are_frozen(self):
         market, _, _ = di.make_purechar_instance(3, 2, 5, seed=1)
         with pytest.raises(ValueError):

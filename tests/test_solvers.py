@@ -3,16 +3,19 @@ and residual Gauss-Newton, plus the shared trust-region step machinery."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demandinv as di
 from demandinv.solvers import _floor_hessian, _tr_step
-from oracles import cauchy_reduction
+from oracles import cauchy_reduction, floored_step
 
 
 def plain_logit(J):
@@ -85,7 +88,7 @@ class TestTrustRegionStep:
             root = rng.standard_normal((J, J))
             B = root @ root.T + 0.5 * np.eye(J)
             g = rng.standard_normal(J)
-            p = _tr_step(g, B, 1e12)
+            p, _ = floored_step(g, B, 1e12)
             newton = -np.linalg.solve(B, g)
             assert np.max(np.abs(p - newton)) <= 1e-10 * max(1.0, np.max(np.abs(newton)))
 
@@ -93,7 +96,7 @@ class TestTrustRegionStep:
         B = np.diag([1.0, 4.0])
         g = np.array([3.0, 4.0])
         radius = 1e-3
-        p = _tr_step(g, B, radius)
+        p, _ = floored_step(g, B, radius)
         assert np.linalg.norm(p) == pytest.approx(radius, rel=1e-12)
         cosine = -(p @ g) / (np.linalg.norm(p) * np.linalg.norm(g))
         assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -102,12 +105,12 @@ class TestTrustRegionStep:
         rng = np.random.default_rng(3)
         for _ in range(10):
             B = rng.standard_normal((4, 4))
-            B = _floor_hessian(0.5 * (B + B.T) - 1.5 * np.eye(4))
+            B = 0.5 * (B + B.T) - 1.5 * np.eye(4)
             g = rng.standard_normal(4)
             radius = 0.7
-            p = _tr_step(g, B, radius)
+            p, floored = floored_step(g, B, radius)
             assert np.linalg.norm(p) <= radius * (1 + 1e-12)
-            reduction = -(g @ p + 0.5 * p @ (B @ p))
+            reduction = -(g @ p + 0.5 * p @ (floored @ p))
             assert reduction > 0.0
 
     @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
@@ -130,9 +133,9 @@ class TestTrustRegionStep:
                 B -= data.draw(st.sampled_from([1e-14, 1e-8, 0.1, 1.0, 10.0])) * np.eye(J)
         B *= scale
         g = g_scale * rng.standard_normal(J)
-        floored = _floor_hessian(B)
-        scipy.linalg.cho_factor(floored)  # raises LinAlgError unless positive definite
-        p = _tr_step(g, floored, radius)
+        lam, _ = _floor_hessian(B)
+        assert np.all(lam > 0.0)
+        p, floored = floored_step(g, B, radius)
         assert np.all(np.isfinite(p))
         assert np.linalg.norm(p) <= radius * (1 + 1e-12)
         pred = -(g @ p + 0.5 * p @ (floored @ p))
@@ -141,19 +144,20 @@ class TestTrustRegionStep:
         # With B unshifted, its condition number can reach 1 / (64 eps), so a
         # solve's forward error reaches about 1/64: test Newton steps well inside
         # the radius, by their backward error.
-        if floored is B and np.linalg.norm(np.linalg.solve(B, g)) < 0.9 * radius:
+        unshifted = np.array_equal(lam, np.linalg.eigh(B)[0])
+        if unshifted and np.linalg.norm(np.linalg.solve(B, g)) < 0.9 * radius:
             residual = np.linalg.norm(B @ p + g)
             assert residual <= 1e-12 * (np.linalg.norm(B, 2) * np.linalg.norm(p) + np.linalg.norm(g))
 
     def test_one_eigenvalue_call_per_accepted_state(self, monkeypatch):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
 
-        def counting_eigvalsh(B):
+        def counting_eigh(B):
             calls.append(B)
-            return eigvalsh(B)
+            return eigh(B)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         for make, M in ((di.make_logit_instance, 2), (di.make_purechar_instance, 3)):
             market, x_star, sigma_star = make(4, M, 30, seed=0)
             x0 = di.perturb_start(x_star, 10.0, seed=1)
@@ -162,6 +166,20 @@ class TestTrustRegionStep:
                 res = di.invert(market, sigma_star, method, x0=x0)
                 # The start and each accepted state: one error_trace entry each.
                 assert len(calls) == res.error_trace.size < res.eval_counts["jacobian"]
+
+    def test_import_loads_no_scipy_linalg(self):
+        # the solvers factorize with numpy alone; scipy.linalg would add ~44
+        # modules to every import of the package
+        code = "import sys, demandinv; print('scipy.linalg' in sys.modules)"
+        src = str(Path(di.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestContraction:
@@ -442,7 +460,7 @@ class TestNewtonEquivalence:
             x = x_star + rng.normal(scale=1.0, size=5)
             ev = market.evaluate(x, want_jacobian=True)
             g = ev.shares - sigma_star
-            p_convex = _tr_step(g, ev.jacobian, 1e12)
+            p_convex, _ = floored_step(g, ev.jacobian, 1e12)
             p_newton = -np.linalg.solve(ev.jacobian, g)
             assert np.max(np.abs(p_convex - p_newton)) <= 1e-10 * max(
                 1.0, np.max(np.abs(p_newton))
@@ -476,11 +494,11 @@ def test_pinned_solver_work(family, method, budget, monkeypatch):
         market, x_star, sigma_star = di.make_purechar_instance(4, 3, 30, seed=0)
     trials = []
 
-    def checked_step(g, B, radius):
-        """_tr_step, checked to reach the Cauchy decrease on the B it was given."""
-        p = _tr_step(g, B, radius)
-        pred = -(float(g @ p) + 0.5 * float(p @ (B @ p)))
-        cauchy = cauchy_reduction(g, B, radius)
+    def checked_step(gt, lam, radius):
+        """_tr_step, checked to reach the Cauchy decrease on the diag(lam) it was given."""
+        p = _tr_step(gt, lam, radius)
+        pred = -(float(gt @ p) + 0.5 * float(lam @ p**2))
+        cauchy = cauchy_reduction(gt, np.diag(lam), radius)
         assert pred >= cauchy - 1e-9 * max(1.0, abs(cauchy))
         trials.append(radius)
         return p
