@@ -11,7 +11,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import InvalidInputError, as_mean_utility, as_seed_sequence
+from .core import InvalidInputError, as_mean_utility, as_seed_sequence, check_market_size
 from .logit import make_logit_instance
 from .purechar import make_purechar_instance
 from .solvers import METHODS, InversionResult, SolverConfig, invert
@@ -44,10 +44,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model_family not in MAKERS:
             raise InvalidInputError(f"unknown model family {self.model_family!r}")
-        if self.J < 1 or self.M < 1 or self.n < 1:
-            raise InvalidInputError("J, M, n must all be >= 1")
-        if self.model_family == "purechar" and self.M < 2:
-            raise InvalidInputError("purechar needs M >= 2")
+        check_market_size(self.J, self.M, self.n, min_M=2 if self.model_family == "purechar" else 1)
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
         if not 0 <= self.delta_norm < math.inf:

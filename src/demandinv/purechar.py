@@ -215,76 +215,65 @@ class PureCharMarket(DemandModel):
         and R_c the smallest crossing with a higher-slope line; the segment
         belongs to the consumer's winner in group c.
         """
-        a = self.intercepts(x)
         J = self.J
         K = J + 1
         n = self.n
         heads = self._heads
-        tied = self._tied
         bs = self._group_slopes
         G = bs.size
 
-        diffb = bs[:, None] - bs[None, :]
-        np.fill_diagonal(diffb, 1.0)  # diagonal is masked below
-        lower_mask = np.tril(np.ones((G, G), dtype=bool), -1)
-        upper_mask = np.triu(np.ones((G, G), dtype=bool), 1)
-        positions = np.arange(G)
+        # The crossing of groups p < c bounds c from the left and p from the
+        # right. L and R stay (G, n), read through .T: the sums below round by
+        # memory layout.
+        A, owner = self._group_lines(self.intercepts(x))
+        At = A.T
+        L = np.full((G, n), -np.inf)
+        R = np.full((G, n), np.inf)
+        # Slopes a subnormal apart overflow to an infinite crossing, which is
+        # the right value.
+        with np.errstate(over="ignore"):
+            for c in range(1, G):
+                cross = (At[:c] - At[c]) / (bs[c] - bs[:c, None])
+                L[c] = cross.max(axis=0)
+                np.minimum(R[:c], cross, out=R[:c])
+        L, R = L.T, R.T
+        alive = L < R
 
-        width_sum = np.zeros(G)
-        member_width = np.zeros(K)  # per-line widths inside tied groups
-        welfare_sum = 0.0
-        flux = np.zeros((K, K)) if want_jacobian else None
-
-        chunk = max(1, int(2_000_000) // (G * G))
-        for i0 in range(0, n, chunk):
-            A, owner = self._group_lines(a[i0 : i0 + chunk])
-            # Slopes a subnormal apart overflow to an infinite crossing, which
-            # is the right value.
-            with np.errstate(over="ignore"):
-                cross = (A[:, None, :] - A[:, :, None]) / diffb
-            L = np.where(lower_mask, cross, -np.inf).max(axis=2)
-            R = np.where(upper_mask, cross, np.inf).min(axis=2)
-            alive = L < R
-
-            cdf_L = ndtr(L)
-            cdf_R = ndtr(R)
-            pdf_L = _phi(L)
-            pdf_R = _phi(R)
-            width = np.where(alive, np.maximum(cdf_R - cdf_L, 0.0), 0.0)
-            width_sum += width.sum(axis=0)
-            if owner is not None:
-                member_width += np.bincount(
-                    owner[:, tied].ravel(), weights=width[:, tied].ravel(), minlength=K
-                )
-            piece = A * (cdf_R - cdf_L) + bs * (pdf_L - pdf_R)
-            welfare_sum += float(np.where(alive, piece, 0.0).sum())
-
-            if want_jacobian:
-                # Adjacent alive groups p < c share the breakpoint L_c; their
-                # owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
-                idx = np.where(alive, positions, -1)
-                prev = np.maximum.accumulate(idx, axis=1)
-                left = np.full_like(idx, -1)
-                left[:, 1:] = prev[:, :-1]
-                pair = alive & (left >= 0)
-                rows, cs = np.nonzero(pair)
-                ps = left[rows, cs]
-                w = _phi(L[rows, cs]) / (bs[cs] - bs[ps])
-                if owner is None:
-                    op, oc = heads[ps], heads[cs]
-                else:
-                    op, oc = owner[rows, ps], owner[rows, cs]
-                flat = np.concatenate([op * K + op, oc * K + oc, op * K + oc, oc * K + op])
-                vals = np.concatenate([w, w, -w, -w])
-                flux += np.bincount(flat, weights=vals, minlength=K * K).reshape(K, K)
-
+        cdf_L = ndtr(L)
+        cdf_R = ndtr(R)
+        pdf_L = _phi(L)
+        pdf_R = _phi(R)
+        width = np.where(alive, np.maximum(cdf_R - cdf_L, 0.0), 0.0)
         widths = np.empty(K)
-        widths[heads] = width_sum
-        widths[self._members] = member_width[self._members]
-        shares = widths[:J] / n
-        welfare = welfare_sum / n
-        jac = flux[:J, :J] / n if want_jacobian else None
-        return ModelEvaluation(welfare, shares, jac)
+        widths[heads] = width.sum(axis=0)
+        if owner is not None:
+            member_width = np.bincount(
+                owner[:, self._tied].ravel(), weights=width[:, self._tied].ravel(), minlength=K
+            )
+            widths[self._members] = member_width[self._members]
+        piece = A * (cdf_R - cdf_L) + bs * (pdf_L - pdf_R)
+        welfare = float(np.where(alive, piece, 0.0).sum()) / n
+
+        jac = None
+        if want_jacobian:
+            # Adjacent alive groups p < c share the breakpoint L_c; their
+            # owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
+            idx = np.where(alive, np.arange(G), -1)
+            prev = np.maximum.accumulate(idx, axis=1)
+            left = np.full_like(idx, -1)
+            left[:, 1:] = prev[:, :-1]
+            pair = alive & (left >= 0)
+            rows, cs = np.nonzero(pair)
+            ps = left[rows, cs]
+            w = _phi(L[rows, cs]) / (bs[cs] - bs[ps])
+            if owner is None:
+                op, oc = heads[ps], heads[cs]
+            else:
+                op, oc = owner[rows, ps], owner[rows, cs]
+            flat = np.concatenate([op * K + op, oc * K + oc, op * K + oc, oc * K + op])
+            vals = np.concatenate([w, w, -w, -w])
+            jac = np.bincount(flat, weights=vals, minlength=K * K).reshape(K, K)[:J, :J] / n
+        return ModelEvaluation(welfare, widths[:J] / n, jac)
 
 
 def make_purechar_instance(J: int, M: int, n: int, seed):

@@ -29,6 +29,9 @@ REPO = Path(__file__).resolve().parent.parent
 PINNED = "tests/test_solvers.py::test_pinned_solver_work"
 CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
 TIES = "tests/test_purechar.py::TestTiedSlopes"
+GENERIC_SWEEP = (
+    "tests/test_purechar.py::TestEvaluationPaths::test_sweep_matches_vectorized_on_generic_market"
+)
 LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
 LOGIT_PSD = "tests/test_logit.py::TestInvariants::test_jacobian_psd_on_random_markets"
 LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_and_unchanged"
@@ -67,6 +70,27 @@ MUTANTS = [
         "A[:, self._tied] = cand.max(axis=2)",
         "pass",
         [TIES],
+    ),
+    (
+        "left bound from the adjacent lower group only",
+        "purechar.py",
+        "L[c] = cross.max(axis=0)",
+        "L[c] = cross[-1]",
+        [GENERIC_SWEEP],
+    ),
+    (
+        "right bound from the adjacent higher group only",
+        "purechar.py",
+        "np.minimum(R[:c], cross, out=R[:c])",
+        "np.minimum(R[c - 1 : c], cross[-1:], out=R[c - 1 : c])",
+        [GENERIC_SWEEP],
+    ),
+    (
+        "crossing overflow unguarded",
+        "purechar.py",
+        'np.errstate(over="ignore")',
+        "np.errstate()",
+        [f"{TIES}::test_edge_cases_match_sweep[subnormal_slope]"],
     ),
     (
         "no _phi clip",

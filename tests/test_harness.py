@@ -108,6 +108,7 @@ class TestExperimentSpec:
             {"methods": ()},
             {"methods": ("newton",)},
             {"delta_norm": math.inf},
+            {"J": 10**20},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

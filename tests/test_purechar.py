@@ -2,6 +2,7 @@
 quadrature cross-checks, and agreement with the per-consumer sweep oracle on
 generic and tied slopes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -222,8 +223,9 @@ class TestAgainstOracles:
 
 class TestEvaluationPaths:
     def test_sweep_matches_vectorized_on_generic_market(self):
-        for seed in (1, 4, 9):
-            market, x_star, _ = di.make_purechar_instance(7, 3, 40, seed=seed)
+        # J=40 runs the bounds loop over many slope groups
+        for J, seed in ((7, 1), (7, 4), (7, 9), (40, 2)):
+            market, x_star, _ = di.make_purechar_instance(J, 3, 40, seed=seed)
             assert_matches_sweep(market, x_star)
 
     def test_duplicate_slopes_match_sweep_oracle(self):
@@ -250,6 +252,17 @@ class TestEvaluationPaths:
             for _ in range(3):
                 x = rng.normal(scale=3.0, size=5)
                 assert market.evaluate(x).welfare >= 0.0
+
+    def test_evaluate_memory_linear_in_n(self):
+        # bounds in O(n*G) memory; an (n, G, G) crossing tensor peaks near 12 MiB here
+        market, x_star, _ = di.make_purechar_instance(10, 5, 5000, seed=3)
+        tracemalloc.start()
+        try:
+            market.evaluate(x_star, want_jacobian=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_deterministic_bit_identical(self):
         market, x_star, _ = di.make_purechar_instance(6, 3, 40, seed=12)
