@@ -213,7 +213,8 @@ class PureCharMarket(DemandModel):
         the G reduced slopes distinct, group c is on the envelope exactly on
         (L_c, R_c), where L_c is the largest crossing with a lower-slope line
         and R_c the smallest crossing with a higher-slope line; the segment
-        belongs to the consumer's winner in group c.
+        belongs to the consumer's winner in group c. Only the alive segments,
+        L_c < R_c, are integrated.
         """
         J = self.J
         K = J + 1
@@ -223,8 +224,8 @@ class PureCharMarket(DemandModel):
         G = bs.size
 
         # The crossing of groups p < c bounds c from the left and p from the
-        # right. L and R stay (G, n), read through .T: the sums below round by
-        # memory layout.
+        # right. L and R are (G, n), so the loop works on contiguous rows, and
+        # are read through .T, so the segments below come consumer by consumer.
         A, owner = self._group_lines(self.intercepts(x))
         At = A.T
         L = np.full((G, n), -np.inf)
@@ -237,39 +238,28 @@ class PureCharMarket(DemandModel):
                 L[c] = cross.max(axis=0)
                 np.minimum(R[:c], cross, out=R[:c])
         L, R = L.T, R.T
-        alive = L < R
 
-        cdf_L = ndtr(L)
-        cdf_R = ndtr(R)
-        pdf_L = _phi(L)
-        pdf_R = _phi(R)
-        width = np.where(alive, np.maximum(cdf_R - cdf_L, 0.0), 0.0)
-        widths = np.empty(K)
-        widths[heads] = width.sum(axis=0)
-        if owner is not None:
-            member_width = np.bincount(
-                owner[:, self._tied].ravel(), weights=width[:, self._tied].ravel(), minlength=K
-            )
-            widths[self._members] = member_width[self._members]
-        piece = A * (cdf_R - cdf_L) + bs * (pdf_L - pdf_R)
-        welfare = float(np.where(alive, piece, 0.0).sum()) / n
+        # The alive segments (lo, hi), listed per consumer in slope order, so
+        # one consumer's envelope is a run of consecutive entries.
+        rows, cs = np.nonzero(L < R)
+        lo = L[rows, cs]
+        hi = R[rows, cs]
+        # Each normal mass is taken on its tail side, where it cannot cancel.
+        flip = lo > 0
+        mass = np.maximum(ndtr(np.where(flip, -lo, hi)) - ndtr(np.where(flip, -hi, lo)), 0.0)
+        own = heads[cs] if owner is None else owner[rows, cs]
+        widths = np.bincount(own, weights=mass, minlength=K)
+        b = bs[cs]
+        pdf_lo = _phi(lo)
+        welfare = float(np.sum(A[rows, cs] * mass + b * (pdf_lo - _phi(hi)))) / n
 
         jac = None
         if want_jacobian:
-            # Adjacent alive groups p < c share the breakpoint L_c; their
-            # owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
-            idx = np.where(alive, np.arange(G), -1)
-            prev = np.maximum.accumulate(idx, axis=1)
-            left = np.full_like(idx, -1)
-            left[:, 1:] = prev[:, :-1]
-            pair = alive & (left >= 0)
-            rows, cs = np.nonzero(pair)
-            ps = left[rows, cs]
-            w = _phi(L[rows, cs]) / (bs[cs] - bs[ps])
-            if owner is None:
-                op, oc = heads[ps], heads[cs]
-            else:
-                op, oc = owner[rows, ps], owner[rows, cs]
+            # Consecutive segments k, k+1 of one consumer share the breakpoint
+            # lo[k+1]; their owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
+            k = np.flatnonzero(rows[1:] == rows[:-1])
+            w = pdf_lo[k + 1] / (b[k + 1] - b[k])
+            op, oc = own[k], own[k + 1]
             flat = np.concatenate([op * K + op, oc * K + oc, op * K + oc, oc * K + op])
             vals = np.concatenate([w, w, -w, -w])
             jac = np.bincount(flat, weights=vals, minlength=K * K).reshape(K, K)[:J, :J] / n

@@ -29,6 +29,7 @@ REPO = Path(__file__).resolve().parent.parent
 PINNED = "tests/test_solvers.py::test_pinned_solver_work"
 CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
 TIES = "tests/test_purechar.py::TestTiedSlopes"
+CLOSED_FORMS = "tests/test_purechar.py::TestClosedForms"
 GENERIC_SWEEP = (
     "tests/test_purechar.py::TestEvaluationPaths::test_sweep_matches_vectorized_on_generic_market"
 )
@@ -53,15 +54,15 @@ MUTANTS = [
     (
         "Jacobian flux to the group head",
         "purechar.py",
-        "op, oc = owner[rows, ps], owner[rows, cs]",
-        "op, oc = heads[ps], heads[cs]",
+        "op, oc = own[k], own[k + 1]",
+        "op, oc = heads[cs[k]], heads[cs[k + 1]]",
         [TIES],
     ),
     (
         "tied widths to the group head",
         "purechar.py",
-        "widths[self._members] = member_width[self._members]",
-        "widths[self._members[:, 1:]] = 0.0",
+        "widths = np.bincount(own, weights=mass, minlength=K)",
+        "widths = np.bincount(heads[cs], weights=mass, minlength=K)",
         [TIES],
     ),
     (
@@ -91,6 +92,20 @@ MUTANTS = [
         'np.errstate(over="ignore")',
         "np.errstate()",
         [f"{TIES}::test_edge_cases_match_sweep[subnormal_slope]"],
+    ),
+    (
+        "mass not taken on the tail side",
+        "purechar.py",
+        "flip = lo > 0",
+        "flip = lo > np.inf",
+        [f"{CLOSED_FORMS}::test_tail_share_is_relatively_exact"],
+    ),
+    (
+        "welfare drops the density term",
+        "purechar.py",
+        "b * (pdf_lo - _phi(hi))",
+        "0.0 * (pdf_lo - _phi(hi))",
+        ["tests/test_purechar.py::TestInvariants::test_gradient_is_shares"],
     ),
     (
         "no _phi clip",

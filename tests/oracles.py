@@ -206,7 +206,9 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
     for i in range(n):
         segs = di.upper_envelope([(j, a[i, j], b[j]) for j in range(J)], include_zero_line=True)
         for s, seg in enumerate(segs):
-            mass = max(float(ndtr(seg.upper) - ndtr(seg.lower)), 0.0)
+            # the mass on its tail side: 1 - ndtr(lower) would cancel for lower > 0
+            lo, hi = (-seg.upper, -seg.lower) if seg.lower > 0 else (seg.lower, seg.upper)
+            mass = max(float(ndtr(hi) - ndtr(lo)), 0.0)
             width[seg.owner] += mass
             welfare += seg.a * mass + seg.b * (normal_pdf(seg.lower) - normal_pdf(seg.upper))
             if want_jacobian and s > 0:

@@ -1,18 +1,21 @@
-"""Pure-characteristics evaluator: closed forms, Monte Carlo equivalence,
-quadrature cross-checks, and agreement with the per-consumer sweep oracle on
-generic and tied slopes."""
+"""Pure-characteristics evaluator: closed forms, tail accuracy, the slope
+negation and gradient = shares invariants, Monte Carlo equivalence, quadrature
+cross-checks, and agreement with the per-consumer sweep oracle on generic and
+tied slopes."""
 
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import demandinv as di
 from oracles import (
+    finite_difference_gradient,
     mc_purechar_shares,
     mc_standard_errors,
     purechar_share_quadrature,
@@ -133,6 +136,14 @@ class TestClosedForms:
         ev = single_product(1.0).evaluate(np.array([-40.0]))
         assert ev.shares[0] == 0.0
 
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    def test_tail_share_is_relatively_exact(self, b):
+        # share Phi(x) either way: 1 - Phi(-x) would cancel for b = +1
+        market = single_product(b)
+        for x in np.linspace(-1.0, -37.0, 73):
+            share = market.evaluate(np.array([x])).shares[0]
+            assert share == pytest.approx(ndtr(x), rel=1e-14, abs=0.0)
+
     def test_two_products_equal_lines_split_by_index(self):
         # identical slopes and intercepts: product 0 wins the tie everywhere
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -204,6 +215,64 @@ class TestJacobian:
         market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(M))
         jac = market.evaluate(scale * u, want_jacobian=True).jacobian
         assert np.linalg.eigvalsh(jac)[0] >= -1e-13 * np.max(np.abs(jac))
+
+
+def envelope_owners(market, x):
+    """Each consumer's envelope segment owners, left to right, from the sweep."""
+    a = market.intercepts(x)
+    b = market.z[:, 0]
+    return [
+        [seg.owner for seg in di.upper_envelope(zip(range(market.J), row, b))] for row in a
+    ]
+
+
+class TestInvariants:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_shares_invariant_under_slope_negation(self, data):
+        # t -> -t maps the market with slopes -b onto the one with slopes b,
+        # and tail shares must match relatively on either side
+        J = data.draw(st.integers(1, 10), label="J")
+        M = data.draw(st.integers(2, 4), label="M")
+        n = data.draw(st.integers(1, 30), label="n")
+        depth = data.draw(st.sampled_from([0.0, 5.0, 10.0, 20.0, 35.0]), label="depth")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="tied"):
+            slopes = draw_tied_slopes(data, J)
+        else:
+            slopes = rng.standard_normal(J)
+        z = np.column_stack([slopes, rng.standard_normal((J, M - 1))])
+        nu_rest = rng.standard_normal((n, M - 1))
+        x = rng.uniform(-1.0, 1.0, J) - depth * rng.random(J)
+        mirrored = z.copy()
+        mirrored[:, 0] = -z[:, 0]
+        shares = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(M)).evaluate(x).shares
+        flipped = di.PureCharMarket(z=mirrored, nu_rest=nu_rest, beta=np.ones(M)).evaluate(x).shares
+        normal = np.maximum(shares, flipped) >= np.finfo(float).tiny
+        assert np.allclose(flipped[normal], shares[normal], rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_gradient_is_shares(self, data):
+        # central differences of welfare with a step relative to the scale,
+        # kept where the envelope's owners do not change across the step
+        J = data.draw(st.integers(1, 8), label="J")
+        M = data.draw(st.integers(2, 4), label="M")
+        n = data.draw(st.integers(1, 30), label="n")
+        scale = data.draw(st.sampled_from([1.0, 10.0, 1e3, 1e20, 1e200]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        z = rng.standard_normal((J, M))
+        market = di.PureCharMarket(z=z, nu_rest=rng.standard_normal((n, M - 1)), beta=np.ones(M))
+        x = scale * rng.uniform(-1.0, 1.0, J)
+        step = 1e-7 * scale
+        for j in range(J):
+            up = x.copy()
+            dn = x.copy()
+            up[j] += step
+            dn[j] -= step
+            assume(envelope_owners(market, up) == envelope_owners(market, dn))
+        fd = finite_difference_gradient(market, x, step=step)
+        assert np.max(np.abs(fd - market.evaluate(x).shares)) <= 1e-7
 
 
 class TestAgainstOracles:
