@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     DemandModel,
@@ -37,6 +36,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # near 40 would be as exact but puts the infinite envelope ends on exp's slow
 # underflow path.
 _PHI_CLIP = 1e150
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def _phi(t):
@@ -214,7 +214,10 @@ class PureCharMarket(DemandModel):
         (L_c, R_c), where L_c is the largest crossing with a lower-slope line
         and R_c the smallest crossing with a higher-slope line; the segment
         belongs to the consumer's winner in group c. Only the alive segments,
-        L_c < R_c, are integrated.
+        L_c < R_c, are integrated. Two consecutive ones meet at a breakpoint
+        t, whose tail mass Phi(-|t|) and density phi(t) are computed once and
+        shared by both; the Jacobian sums one rank-one flux per breakpoint.
+        scipy.special is imported on the first call.
         """
         J = self.J
         K = J + 1
@@ -224,8 +227,7 @@ class PureCharMarket(DemandModel):
         G = bs.size
 
         # The crossing of groups p < c bounds c from the left and p from the
-        # right. L and R are (G, n), so the loop works on contiguous rows, and
-        # are read through .T, so the segments below come consumer by consumer.
+        # right. L and R are (G, n), so the loop works on contiguous rows.
         A, owner = self._group_lines(self.intercepts(x))
         At = A.T
         L = np.full((G, n), -np.inf)
@@ -237,32 +239,45 @@ class PureCharMarket(DemandModel):
                 cross = (At[:c] - At[c]) / (bs[c] - bs[:c, None])
                 L[c] = cross.max(axis=0)
                 np.minimum(R[:c], cross, out=R[:c])
-        L, R = L.T, R.T
 
-        # The alive segments (lo, hi), listed per consumer in slope order, so
-        # one consumer's envelope is a run of consecutive entries.
-        rows, cs = np.nonzero(L < R)
-        lo = L[rows, cs]
-        hi = R[rows, cs]
-        # Each normal mass is taken on its tail side, where it cannot cancel.
-        flip = lo > 0
-        mass = np.maximum(ndtr(np.where(flip, -lo, hi)) - ndtr(np.where(flip, -hi, lo)), 0.0)
+        # The alive segments, listed per consumer in slope order, so one
+        # consumer's envelope is a run of consecutive entries; `at` is each
+        # one's flat index in the (G, n) arrays.
+        rows, cs = np.nonzero(L.T < R.T)
+        at = cs * n + rows
+        # Segment k spans (t[k], t[k + 1]): t lists each consumer's opening
+        # -inf and interior breakpoints, then a closing +inf, and the -inf
+        # that opens a consumer also closes the segment before it.
+        t = np.append(L.ravel()[at], np.inf)
+        # Each normal mass is taken on its tail side, where it cannot cancel:
+        # with s = sign(t) Phi(-|t|), a segment's mass is s[k] - s[k + 1],
+        # plus 1 when it straddles 0.
+        from scipy.special import ndtr
+
+        s = np.copysign(ndtr(-np.abs(t)), t)
+        neg = np.signbit(t)
+        straddle = neg[:-1] > (neg & np.isfinite(t))[1:]
+        mass = np.maximum(s[:-1] - s[1:] + straddle, 0.0)
         own = heads[cs] if owner is None else owner[rows, cs]
         widths = np.bincount(own, weights=mass, minlength=K)
+        # Summed by parts, the welfare's density term is each breakpoint's
+        # density times the slope step there; a consumer's -inf has density 0.
+        pdf = _phi(t[1:-1])
         b = bs[cs]
-        pdf_lo = _phi(lo)
-        welfare = float(np.sum(A[rows, cs] * mass + b * (pdf_lo - _phi(hi)))) / n
+        db = b[1:] - b[:-1]
+        welfare = float(np.sum(At.ravel()[at] * mass) + np.sum(pdf * db)) / n
 
         jac = None
         if want_jacobian:
-            # Consecutive segments k, k+1 of one consumer share the breakpoint
-            # lo[k+1]; their owners get the rank-one flux w*(e_p - e_q)(e_p - e_q)'.
-            k = np.flatnonzero(rows[1:] == rows[:-1])
-            w = pdf_lo[k + 1] / (b[k + 1] - b[k])
-            op, oc = own[k], own[k + 1]
-            flat = np.concatenate([op * K + op, oc * K + oc, op * K + oc, oc * K + op])
-            vals = np.concatenate([w, w, -w, -w])
-            jac = np.bincount(flat, weights=vals, minlength=K * K).reshape(K, K)[:J, :J] / n
+            # The owners p, q of the two segments at a breakpoint get the
+            # rank-one flux w*(e_p - e_q)(e_p - e_q)'; S[p, q] sums w over them.
+            # Between two consumers pdf is 0 and db has any sign; the floor
+            # keeps w = 0 there and leaves every interior db > 0 as it is.
+            w = pdf / np.maximum(db, _TINY)
+            S = np.bincount(own[:-1] * K + own[1:], weights=w, minlength=K * K).reshape(K, K)
+            S = S + S.T
+            # The diagonal is the full row sum, outside column included.
+            jac = (np.diag(S.sum(axis=1)) - S)[:J, :J] / n
         return ModelEvaluation(welfare, widths[:J] / n, jac)
 
 

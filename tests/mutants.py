@@ -33,6 +33,9 @@ CLOSED_FORMS = "tests/test_purechar.py::TestClosedForms"
 GENERIC_SWEEP = (
     "tests/test_purechar.py::TestEvaluationPaths::test_sweep_matches_vectorized_on_generic_market"
 )
+SCIPY_IMPORT = (
+    "tests/test_solvers.py::TestTrustRegionStep::test_scipy_loaded_on_first_purechar_evaluation"
+)
 LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
 LOGIT_PSD = "tests/test_logit.py::TestInvariants::test_jacobian_psd_on_random_markets"
 LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_and_unchanged"
@@ -54,8 +57,8 @@ MUTANTS = [
     (
         "Jacobian flux to the group head",
         "purechar.py",
-        "op, oc = own[k], own[k + 1]",
-        "op, oc = heads[cs[k]], heads[cs[k + 1]]",
+        "own[:-1] * K + own[1:]",
+        "heads[cs[:-1]] * K + heads[cs[1:]]",
         [TIES],
     ),
     (
@@ -96,16 +99,44 @@ MUTANTS = [
     (
         "mass not taken on the tail side",
         "purechar.py",
-        "flip = lo > 0",
-        "flip = lo > np.inf",
+        "ndtr(-np.abs(t))",
+        "(1.0 - ndtr(np.abs(t)))",
         [f"{CLOSED_FORMS}::test_tail_share_is_relatively_exact"],
     ),
     (
         "welfare drops the density term",
         "purechar.py",
-        "b * (pdf_lo - _phi(hi))",
-        "0.0 * (pdf_lo - _phi(hi))",
+        "np.sum(pdf * db)",
+        "np.sum(0.0 * db)",
         ["tests/test_purechar.py::TestInvariants::test_gradient_is_shares"],
+    ),
+    (
+        "breakpoint's mass given only to the segment on its left",
+        "purechar.py",
+        "s[:-1] - s[1:] + straddle",
+        "0.0 - s[1:] + straddle",
+        [CLOSED_FORMS],
+    ),
+    (
+        "straddle read at the -inf that opens the next consumer",
+        "purechar.py",
+        "(neg & np.isfinite(t))[1:]",
+        "neg[1:]",
+        [GENERIC_SWEEP],
+    ),
+    (
+        "Jacobian diagonal from the J inside columns only",
+        "purechar.py",
+        "np.diag(S.sum(axis=1))",
+        "np.diag(S[:, :J].sum(axis=1))",
+        ["tests/test_purechar.py::TestJacobian::test_matches_finite_differences"],
+    ),
+    (
+        "scipy imported with the package",
+        "purechar.py",
+        "import numpy as np\n",
+        "import numpy as np\nfrom scipy.special import ndtr\n",
+        [SCIPY_IMPORT],
     ),
     (
         "no _phi clip",

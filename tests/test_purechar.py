@@ -194,7 +194,10 @@ class TestJacobian:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_psd_on_random_markets(self, data):
-        # the trust-region floor assumes a Jacobian PSD up to round-off
+        # The trust-region floor assumes a Jacobian PSD up to round-off. A
+        # symmetric Jacobian with off-diagonal entries <= 0 and row sums >= 0
+        # is weakly diagonally dominant, hence PSD; and the outside good's
+        # share, 1 - sum(shares), stays nonnegative up to round-off.
         J = data.draw(st.integers(1, 12), label="J")
         M = data.draw(st.integers(2, 4), label="M")
         n = data.draw(st.integers(1, 40), label="n")
@@ -213,8 +216,13 @@ class TestJacobian:
             u = rng.uniform(-1.0, 1.0, J)
         z = np.column_stack([slopes, rest])
         market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(M))
-        jac = market.evaluate(scale * u, want_jacobian=True).jacobian
+        ev = market.evaluate(scale * u, want_jacobian=True)
+        jac = ev.jacobian
         assert np.linalg.eigvalsh(jac)[0] >= -1e-13 * np.max(np.abs(jac))
+        assert np.array_equal(jac, jac.T)
+        assert np.all(jac[~np.eye(J, dtype=bool)] <= 0.0)
+        assert np.all(jac.sum(axis=1) >= -1e-15 * np.max(np.abs(jac)))
+        assert 1.0 - ev.shares.sum() >= -4 * np.finfo(float).eps
 
 
 def envelope_owners(market, x):

@@ -18,6 +18,19 @@ from demandinv.solvers import _floor_hessian, _tr_step
 from oracles import cauchy_reduction, floored_step
 
 
+def run_python(code):
+    """The output lines of `code` run in a fresh interpreter on this package."""
+    src = str(Path(di.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.split()
+
+
 def plain_logit(J):
     """Homogeneous logit: sigma_q(x) = exp(x_q) / (1 + sum exp(x))."""
     z = np.zeros((J, 1))
@@ -171,15 +184,21 @@ class TestTrustRegionStep:
         # the solvers factorize with numpy alone; scipy.linalg would add ~44
         # modules to every import of the package
         code = "import sys, demandinv; print('scipy.linalg' in sys.modules)"
-        src = str(Path(di.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
+        assert run_python(code) == ["False"]
+
+    def test_scipy_loaded_on_first_purechar_evaluation(self):
+        # ndtr comes from scipy.special, imported when a pure-characteristics
+        # market is first evaluated; the package and logit work load no scipy
+        code = (
+            "import sys, demandinv as di\n"
+            "market, x_star, sigma_star = di.make_logit_instance(3, 2, 20, seed=0)\n"
+            "di.invert(market, sigma_star, 'convex_tr', x0=di.perturb_start(x_star, 1.0, seed=1))\n"
+            "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
+            "market = di.PureCharMarket(z=[[1.0, 0.5]], nu_rest=[[0.1]], beta=[1.0, 1.0])\n"
+            "market.evaluate([0.2])\n"
+            "print('scipy.special' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "False"
+        assert run_python(code) == ["False", "True"]
 
 
 class TestContraction:
