@@ -152,29 +152,18 @@ class PureCharMarket(DemandModel):
         beta = set_frozen_array(self, "beta", self.beta, shape=(M,))
         if beta[0] != 1.0:
             raise InvalidInputError(f"beta[0] must be exactly 1, got {beta[0]!r}")
-        # (n, J) intercepts net of x; like LogitMarket's cache, not a field
-        object.__setattr__(self, "_nz", frozen_product(nu, z[:, 1:].T, "nu_rest @ z[:, 1:].T"))
-
-        # Slope data shared by every consumer, precomputed once. The K = J+1
-        # lines (products, then the zero line at index J) fall into G groups of
-        # equal slope, in increasing slope order. Only a group's highest line
-        # can own an envelope segment, so the evaluator works on G lines with
-        # distinct slopes. Members of a tied group are listed by index, so the
-        # first maximum is the lowest product index and the zero line loses.
-        slopes = np.append(z[:, 0], 0.0)
+        # The K = J+1 lines (products, then the zero line) in one stable slope
+        # order: equal slopes keep index order, the zero line last. + 0.0 turns
+        # -0.0 into 0.0, so equal slopes subtract to +0.0. `_lines` caches their
+        # (K, n) intercepts net of x, like LogitMarket's cache, not a field.
+        slopes = np.append(z[:, 0], 0.0) + 0.0
         order = np.argsort(slopes, kind="stable")
-        ranked = slopes[order]
-        starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
-        sizes = np.diff(starts, append=slopes.size)
-        tied = np.flatnonzero(sizes > 1)
-        # (T, S) member table of the tied groups, padded by repeating a group's
-        # last member; a repeat changes neither the maximum nor its owner.
-        offsets = np.minimum(np.arange(sizes.max()), sizes[tied, None] - 1)
-        members = order[starts[tied, None] + offsets]
-        object.__setattr__(self, "_group_slopes", ranked[starts])
-        object.__setattr__(self, "_heads", order[starts])
-        object.__setattr__(self, "_tied", tied)
-        object.__setattr__(self, "_members", members)
+        nz = frozen_product(nu, z[:, 1:].T, "nu_rest @ z[:, 1:].T")
+        lines = np.vstack([nz.T, np.zeros(nz.shape[0])])[order]
+        lines.setflags(write=False)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_slopes", slopes[order])
+        object.__setattr__(self, "_lines", lines)
 
     @property
     def J(self) -> int:
@@ -188,61 +177,47 @@ class PureCharMarket(DemandModel):
     def n(self) -> int:
         return self.nu_rest.shape[0]
 
-    def intercepts(self, x) -> np.ndarray:
-        """Per-consumer line intercepts a_ij = x_j + z_j[1:]'nu_i, shape (n, J)."""
-        x = as_mean_utility(x, self.J)
-        return x + self._nz
-
-    def _group_lines(self, block):
-        """Each slope group's highest intercept per consumer, (m, G), and, when
-        some slopes tie, the line that owns each group per consumer, (m, G)."""
-        full = np.concatenate([block, np.zeros((block.shape[0], 1))], axis=1)
-        A = full[:, self._heads]
-        if not self._tied.size:
-            return A, None
-        cand = full[:, self._members]  # (m, T, S)
-        A[:, self._tied] = cand.max(axis=2)
-        owner = np.tile(self._heads, (block.shape[0], 1))
-        owner[:, self._tied] = self._members[np.arange(self._tied.size), cand.argmax(axis=2)]
-        return A, owner
-
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Shares, welfare and optionally the Jacobian via the interval formulation.
 
-        Per consumer, each slope group is reduced to its highest line. With
-        the G reduced slopes distinct, group c is on the envelope exactly on
-        (L_c, R_c), where L_c is the largest crossing with a lower-slope line
-        and R_c the smallest crossing with a higher-slope line; the segment
-        belongs to the consumer's winner in group c. Only the alive segments,
-        L_c < R_c, are integrated. Two consecutive ones meet at a breakpoint
-        t, whose tail mass Phi(-|t|) and density phi(t) are computed once and
-        shared by both; the Jacobian sums one rank-one flux per breakpoint.
+        There are no slope groups: the bounds run over all K = J+1 lines in
+        slope order. Line c is on the envelope exactly on (L_c, R_c), where
+        L_c is the largest crossing with an earlier line and R_c the smallest
+        crossing with a later one. Equal slopes cross at +-inf, which ends the
+        lower line; coincident lines cross at NaN, which ends the later one.
+        So the tie rule is the line order: the lowest product index wins and
+        the outside good loses. Only the alive segments, L_c < R_c, are
+        integrated. Two consecutive ones meet at a breakpoint t, whose tail
+        mass Phi(-|t|) and density phi(t) are computed once and shared by
+        both; the Jacobian sums one rank-one flux per breakpoint.
         scipy.special is imported on the first call.
         """
         J = self.J
         K = J + 1
         n = self.n
-        heads = self._heads
-        bs = self._group_slopes
-        G = bs.size
+        order = self._order
+        bs = self._slopes
 
-        # The crossing of groups p < c bounds c from the left and p from the
-        # right. L and R are (G, n), so the loop works on contiguous rows.
-        A, owner = self._group_lines(self.intercepts(x))
-        At = A.T
-        L = np.full((G, n), -np.inf)
-        R = np.full((G, n), np.inf)
-        # Slopes a subnormal apart overflow to an infinite crossing, which is
-        # the right value.
-        with np.errstate(over="ignore"):
-            for c in range(1, G):
-                cross = (At[:c] - At[c]) / (bs[c] - bs[:c, None])
-                L[c] = cross.max(axis=0)
-                np.minimum(R[:c], cross, out=R[:c])
+        # The crossing of lines p < c bounds c from the left and p from the
+        # right. A, L and R are (K, n), so the loop works on contiguous rows.
+        A = self._lines + np.append(as_mean_utility(x, J), 0.0)[order, None]
+        L = np.full((K, n), -np.inf)
+        R = np.full((K, n), np.inf)
+        gaps = bs[:, None] - bs
+        buf = np.empty((K, n))
+        # Slopes a subnormal apart overflow to an infinite crossing, and equal
+        # slopes divide by zero to one, both the right value. Coincident lines
+        # give NaN, which max keeps in L and fmin leaves out of R.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for c in range(1, K):
+                cross = np.subtract(A[:c], A[c], out=buf[:c])
+                cross /= gaps[c, :c, None]
+                cross.max(axis=0, out=L[c])
+                np.fmin(R[:c], cross, out=R[:c])
 
         # The alive segments, listed per consumer in slope order, so one
         # consumer's envelope is a run of consecutive entries; `at` is each
-        # one's flat index in the (G, n) arrays.
+        # one's flat index in the (K, n) arrays.
         rows, cs = np.nonzero(L.T < R.T)
         at = cs * n + rows
         # Segment k spans (t[k], t[k + 1]): t lists each consumer's opening
@@ -258,14 +233,14 @@ class PureCharMarket(DemandModel):
         neg = np.signbit(t)
         straddle = neg[:-1] > (neg & np.isfinite(t))[1:]
         mass = np.maximum(s[:-1] - s[1:] + straddle, 0.0)
-        own = heads[cs] if owner is None else owner[rows, cs]
+        own = order[cs]
         widths = np.bincount(own, weights=mass, minlength=K)
         # Summed by parts, the welfare's density term is each breakpoint's
         # density times the slope step there; a consumer's -inf has density 0.
         pdf = _phi(t[1:-1])
         b = bs[cs]
         db = b[1:] - b[:-1]
-        welfare = float(np.sum(At.ravel()[at] * mass) + np.sum(pdf * db)) / n
+        welfare = float(np.sum(A.ravel()[at] * mass) + np.sum(pdf * db)) / n
 
         jac = None
         if want_jacobian:

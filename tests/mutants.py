@@ -48,53 +48,53 @@ PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
     (
-        "tie goes to the last maximum",
+        "-0.0 slope kept, so an equal slope subtracts to -0.0",
         "purechar.py",
-        "cand.argmax(axis=2)]",
-        "cand.shape[2] - 1 - cand[:, :, ::-1].argmax(axis=2)]",
-        [TIES],
+        "np.append(z[:, 0], 0.0) + 0.0",
+        "np.append(z[:, 0], 0.0)",
+        [f"{TIES}::test_edge_cases_match_sweep[signed_zero_slope]"],
     ),
     (
-        "Jacobian flux to the group head",
+        "segment owners read by slope rank",
         "purechar.py",
-        "own[:-1] * K + own[1:]",
-        "heads[cs[:-1]] * K + heads[cs[1:]]",
-        [TIES],
+        "own = order[cs]",
+        "own = cs",
+        [GENERIC_SWEEP],
     ),
     (
-        "tied widths to the group head",
+        "left bound from the adjacent lower line only",
         "purechar.py",
-        "widths = np.bincount(own, weights=mass, minlength=K)",
-        "widths = np.bincount(heads[cs], weights=mass, minlength=K)",
-        [TIES],
-    ),
-    (
-        "no tied-group reduction",
-        "purechar.py",
-        "A[:, self._tied] = cand.max(axis=2)",
-        "pass",
-        [TIES],
-    ),
-    (
-        "left bound from the adjacent lower group only",
-        "purechar.py",
-        "L[c] = cross.max(axis=0)",
+        "cross.max(axis=0, out=L[c])",
         "L[c] = cross[-1]",
         [GENERIC_SWEEP],
     ),
     (
-        "right bound from the adjacent higher group only",
+        "coincident lines' NaN crossing dropped from the left bound",
         "purechar.py",
+        "cross.max(axis=0, out=L[c])",
+        "np.fmax.reduce(cross, axis=0, out=L[c])",
+        [TIES],
+    ),
+    (
+        "coincident lines' NaN crossing kept in the right bound",
+        "purechar.py",
+        "np.fmin(R[:c], cross, out=R[:c])",
         "np.minimum(R[:c], cross, out=R[:c])",
-        "np.minimum(R[c - 1 : c], cross[-1:], out=R[c - 1 : c])",
+        [TIES],
+    ),
+    (
+        "right bound from the adjacent higher line only",
+        "purechar.py",
+        "np.fmin(R[:c], cross, out=R[:c])",
+        "np.fmin(R[c - 1 : c], cross[-1:], out=R[c - 1 : c])",
         [GENERIC_SWEEP],
     ),
     (
-        "crossing overflow unguarded",
+        "crossing arithmetic unguarded",
         "purechar.py",
-        'np.errstate(over="ignore")',
+        'np.errstate(over="ignore", divide="ignore", invalid="ignore")',
         "np.errstate()",
-        [f"{TIES}::test_edge_cases_match_sweep[subnormal_slope]"],
+        [TIES],
     ),
     (
         "mass not taken on the tail side",
@@ -244,6 +244,13 @@ MUTANTS = [
         "return -(radius / math.sqrt(gg)) * gt",
         "return -(0.5 * radius / math.sqrt(gg)) * gt",
         [PINNED],
+    ),
+    (
+        "welfare overflow warning printed before the error",
+        "solvers.py",
+        'with np.errstate(over="ignore"):\n        if method',
+        "with np.errstate():\n        if method",
+        ["tests/test_cli.py::TestInvert::test_overflowing_welfare_is_one_line_usage_error"],
     ),
     (
         "Newton step divides by the unshifted eigenvalues",

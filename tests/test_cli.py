@@ -316,6 +316,24 @@ class TestInvert:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: z @ nu.T overflows a double\n"
 
+    @pytest.mark.parametrize("family", ["logit", "purechar"])
+    def test_overflowing_welfare_is_one_line_usage_error(self, tmp_path, capsys, family):
+        model_path = generate(tmp_path, family=family)
+        x0_path = tmp_path / "x0.json"
+        modelio.write_json(x0_path, [1.79e308] * 3)
+        capsys.readouterr()
+        for method in ("convex_tr", "residual_tr", "contraction"):
+            code = run_cli(
+                "invert",
+                "--model", model_path,
+                "--shares", "0.2,0.2,0.2",
+                "--method", method,
+                "--x0", x0_path,
+                "--out", tmp_path / "r.json",
+            )
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == "error: welfare must be finite\n"
+
     def test_gibberish_inline_shares(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(

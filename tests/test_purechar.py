@@ -72,6 +72,14 @@ TIE_CASES = [
     pytest.param(
         *tie_case([5e-324, 1.0], [0.0, -0.2], rest=[0.3, 0.1]), [], False, id="subnormal_slope"
     ),
+    # product 1's slope -0.0 ties product 0's 0.0 and the zero line, and its
+    # line lies above product 0's for both consumers: product 0 gets nothing
+    pytest.param(
+        di.PureCharMarket(
+            z=[[0.0, 0.1], [-0.0, 0.3], [0.5, 0.0]], nu_rest=[[0.2], [-0.4]], beta=np.ones(2)
+        ),
+        np.array([0.0, 0.1, -0.2]), [0], False, id="signed_zero_slope",
+    ),
 ]
 
 
@@ -227,7 +235,7 @@ class TestJacobian:
 
 def envelope_owners(market, x):
     """Each consumer's envelope segment owners, left to right, from the sweep."""
-    a = market.intercepts(x)
+    a = x + market.nu_rest @ market.z[:, 1:].T
     b = market.z[:, 0]
     return [
         [seg.owner for seg in di.upper_envelope(zip(range(market.J), row, b))] for row in a
@@ -331,7 +339,7 @@ class TestEvaluationPaths:
                 assert market.evaluate(x).welfare >= 0.0
 
     def test_evaluate_memory_linear_in_n(self):
-        # bounds in O(n*G) memory; an (n, G, G) crossing tensor peaks near 12 MiB here
+        # bounds in O(n*K) memory; an (n, K, K) crossing tensor peaks near 12 MiB here
         market, x_star, _ = di.make_purechar_instance(10, 5, 5000, seed=3)
         tracemalloc.start()
         try:
@@ -454,9 +462,13 @@ class TestInstanceConstruction:
 
     def test_cached_intercepts_read_only_and_exact(self):
         market, x_star, _ = di.make_purechar_instance(4, 3, 30, seed=2)
-        assert not market._nz.flags.writeable
+        assert not market._lines.flags.writeable
+        # rows: the intercept columns in stable slope order, the zero line's among them
+        order = np.argsort(np.append(market.z[:, 0], 0.0), kind="stable")
         expected = x_star + market.nu_rest @ market.z[:, 1:].T
-        assert np.array_equal(market.intercepts(x_star), expected)
+        expected = np.append(expected, np.zeros((market.n, 1)), axis=1)[:, order].T
+        lines = market._lines + np.append(x_star, 0.0)[order, None]
+        assert lines.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("size", [(10**20, 2, 5), (3, 10**20, 5), (3, 2, 10**20)])
     def test_sizes_numpy_cannot_index_rejected(self, size):

@@ -1,0 +1,103 @@
+"""Bitwise parity of PureCharMarket.evaluate between two source trees.
+
+Draws seeded random pure-characteristics markets of five kinds (generic
+normal slopes, slopes tied on a 0.5 grid, slopes one ulp apart, coarse
+integer grids where equal-slope lines coincide, and grids with -0.0 slopes),
+evaluates each at x*, x* + N(0,1), 1e6 x*, 0 and x* - 8, with and without the
+Jacobian, in each tree, and compares shares, welfare and Jacobian byte for
+byte. Each tree is imported in its own subprocess. Run it as
+
+    python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120]
+
+where OLD_SRC and NEW_SRC are directories holding a `demandinv` package. It
+exits 1 when any evaluation differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pickle
+import subprocess
+import sys
+
+KINDS = ("generic", "grid", "ulp", "coincident", "signed_zero")
+
+
+def draw(kind: str, rng):
+    """(z, nu_rest, beta) of one random market of the given kind."""
+    import numpy as np
+
+    J = int(rng.integers(1, 16))
+    M = int(rng.integers(2, 5))
+    n = int(rng.integers(1, 200))
+    z = rng.standard_normal((J, M))
+    nu_rest = rng.standard_normal((n, M - 1))
+    if kind == "grid":
+        z[:, 0] = 0.5 * rng.integers(-4, 5, J)
+    elif kind == "ulp":
+        base = rng.choice([-2.0, -0.5, 0.5, 1.0])
+        ulps = rng.integers(-1, 2, J)
+        z[:, 0] = [np.nextafter(base, np.copysign(np.inf, u)) if u else base for u in ulps]
+    elif kind in ("coincident", "signed_zero"):
+        z = rng.integers(-2, 3, (J, M)).astype(float)
+        nu_rest = rng.integers(-1, 2, (n, M - 1)).astype(float)
+        if kind == "signed_zero":
+            z[:, 0] = np.where(rng.random(J) < 0.5, -0.0, z[:, 0])
+    beta = np.concatenate([[1.0], rng.random(M - 1)])
+    if kind in ("coincident", "signed_zero"):
+        # integer utilities too, so lines also coincide at x*
+        beta[1:] = rng.integers(0, 2, M - 1)
+    return z, nu_rest, beta
+
+
+def dump(per_kind: int) -> list:
+    """Every evaluation's (welfare, shares, jacobian) bytes, in a fixed order."""
+    import numpy as np
+
+    from demandinv import PureCharMarket
+
+    out = []
+    for k, kind in enumerate(KINDS):
+        rng = np.random.default_rng([k, 2024])
+        for _ in range(per_kind):
+            z, nu_rest, beta = draw(kind, rng)
+            market = PureCharMarket(z=z, nu_rest=nu_rest, beta=beta)
+            x_star = z @ beta
+            points = (x_star, x_star + rng.standard_normal(x_star.size), 1e6 * x_star,
+                      np.zeros_like(x_star), x_star - 8.0)
+            for x in points:
+                for want in (False, True):
+                    try:
+                        ev = market.evaluate(x, want_jacobian=want)
+                    except Exception as exc:  # a raising evaluation is an output too
+                        out.append((type(exc).__name__, str(exc)))
+                        continue
+                    jac = b"" if ev.jacobian is None else ev.jacobian.tobytes()
+                    out.append((np.float64(ev.welfare).tobytes(), ev.shares.tobytes(), jac))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--per-kind", type=int, default=120)
+    parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.dump:
+        sys.path.insert(0, args.old_src)
+        sys.stdout.buffer.write(pickle.dumps(dump(args.per_kind)))
+        return 0
+    runs = []
+    for src in (args.old_src, args.new_src):
+        cmd = [sys.executable, __file__, src, src, "--per-kind", str(args.per_kind), "--dump"]
+        runs.append(pickle.loads(subprocess.run(cmd, stdout=subprocess.PIPE, check=True).stdout))
+    old, new = runs
+    differ = sum(a != b for a, b in zip(old, new))
+    markets = len(KINDS) * args.per_kind
+    print(f"{markets} markets, {len(old)} evaluations, {differ} differ bitwise")
+    return 1 if differ or len(old) != len(new) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
