@@ -22,7 +22,6 @@ from .harness import (
     ExperimentSpec,
     MethodBand,
     SuiteResult,
-    TraceBand,
     empirical_rate,
     perturb_start,
     run_suite,
@@ -62,7 +61,6 @@ __all__ = [
     "PureCharMarket",
     "SolverConfig",
     "SuiteResult",
-    "TraceBand",
     "UnsupportedTargetError",
     "as_mean_utility",
     "as_share_vector",

@@ -62,24 +62,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, eq=False)
 class MethodBand:
-    """Across-replication error band for one method, on the padded iteration axis."""
+    """Across-replication min/median/max error of one method at each iteration
+    of its longest trace; shorter traces carry their final error forward."""
 
     minimum: np.ndarray
     median: np.ndarray
     maximum: np.ndarray
     empirical_rate: float
-
-
-@dataclass(frozen=True, eq=False)
-class TraceBand:
-    """Per-method min/median/max error at each iteration of the suite's longest trace.
-
-    Methods whose runs all failed carry no band; failures live in
-    SuiteResult.failures.
-    """
-
-    iterations: np.ndarray
-    per_method: dict[str, MethodBand]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +89,7 @@ class DegeneracyStats:
 class SuiteResult:
     spec: ExperimentSpec
     results: dict[tuple[str, int], InversionResult]
-    bands: TraceBand
+    bands: dict[str, MethodBand]  # methods whose runs all failed have no band
     degeneracy: DegeneracyStats
     failures: dict[tuple[str, int], str]
 
@@ -207,10 +196,8 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
     )
 
 
-def _aggregate_bands(spec: ExperimentSpec, results) -> TraceBand:
-    # One axis for every method, as long as the longest accepted trace of the suite.
-    length = max((res.error_trace.size for res in results.values()), default=0)
-    per_method: dict[str, MethodBand] = {}
+def _aggregate_bands(spec: ExperimentSpec, results) -> dict[str, MethodBand]:
+    bands: dict[str, MethodBand] = {}
     for method in spec.methods:
         traces = [
             results[(method, r)].error_trace
@@ -220,18 +207,18 @@ def _aggregate_bands(spec: ExperimentSpec, results) -> TraceBand:
         if not traces:
             continue
         # Pad by carrying the last (best) error forward so every replication
-        # is defined on the full iteration axis.
-        padded = np.empty((len(traces), length))
+        # is defined up to this method's longest trace.
+        padded = np.empty((len(traces), max(trace.size for trace in traces)))
         rates = []
         for i, trace in enumerate(traces):
             padded[i, : trace.size] = trace
             padded[i, trace.size :] = trace[-1]
             if trace.size >= 3:
                 rates.append(empirical_rate(trace, window=min(5, trace.size - 1)))
-        per_method[method] = MethodBand(
+        bands[method] = MethodBand(
             minimum=padded.min(axis=0),
             median=np.median(padded, axis=0),
             maximum=padded.max(axis=0),
             empirical_rate=float(np.median(rates)) if rates else math.nan,
         )
-    return TraceBand(iterations=np.arange(length), per_method=per_method)
+    return bands

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import InvalidInputError, as_float_array, as_mean_utility, as_share_vector
-from .harness import DEGENERACY_THRESHOLD, DegeneracyStats, ExperimentSpec, TraceBand
+from .harness import DEGENERACY_THRESHOLD, DegeneracyStats, ExperimentSpec, MethodBand
 from .logit import LogitMarket
 from .purechar import PureCharMarket
 from .solvers import InversionResult
 
-ARTIFACT_VERSION = "3"
+ARTIFACT_VERSION = "4"
 
 # trace.csv columns, in file order.
 TRACE_COLUMNS = (
@@ -32,9 +32,7 @@ TRACE_COLUMNS = (
     "method",
     "iteration",
     "error_maxnorm",
-    "welfare_evals",
-    "share_evals",
-    "jacobian_evals",
+    "evaluations",
 )
 
 _MODEL_KEYS = {"family", "J", "M", "n", "beta", "z", "nu", "seed"}
@@ -231,7 +229,8 @@ def spec_sha256(spec: ExperimentSpec) -> str:
 
 def write_trace_csv(path, results: dict) -> None:
     """Long-form raw traces, one row per accepted iterate, sorted by
-    (method, replication_id, iteration). Evaluation counts are cumulative."""
+    (method, replication_id, iteration). `evaluations` counts the model
+    evaluations made up to each iterate's acceptance."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
@@ -239,21 +238,20 @@ def write_trace_csv(path, results: dict) -> None:
             res: InversionResult = results[(method, replication)]
             rows = zip(res.error_trace.tolist(), res.eval_trace.tolist())
             for k, (error, evals) in enumerate(rows):
-                writer.writerow([replication, method, k, repr(error), *evals])
+                writer.writerow([replication, method, k, repr(error), evals])
 
 
-def bands_to_dict(bands: TraceBand) -> dict:
+def bands_to_dict(bands: dict[str, MethodBand]) -> dict:
     methods = {}
-    for method in sorted(bands.per_method):
-        band = bands.per_method[method]
+    for method, band in sorted(bands.items()):
         rate = band.empirical_rate
         methods[method] = {
-            "min": [float(v) for v in band.minimum],
-            "median": [float(v) for v in band.median],
-            "max": [float(v) for v in band.maximum],
+            "min": band.minimum.tolist(),
+            "median": band.median.tolist(),
+            "max": band.maximum.tolist(),
             "empirical_rate": None if math.isnan(rate) else float(rate),
         }
-    return {"iterations": [int(i) for i in bands.iterations], "methods": methods}
+    return {"methods": methods}
 
 
 def degeneracy_to_dict(deg: DegeneracyStats) -> dict:

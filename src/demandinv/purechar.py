@@ -157,6 +157,8 @@ class PureCharMarket(DemandModel):
         # -0.0 into 0.0, so equal slopes subtract to +0.0. `_lines` caches their
         # (K, n) intercepts net of x, like LogitMarket's cache, not a field.
         slopes = np.append(z[:, 0], 0.0) + 0.0
+        if not math.isfinite(float(slopes.max()) - float(slopes.min())):
+            raise InvalidInputError("z[:, 0] slope range (zero line included) overflows a double")
         order = np.argsort(slopes, kind="stable")
         nz = frozen_product(nu, z[:, 1:].T, "nu_rest @ z[:, 1:].T")
         lines = np.vstack([nz.T, np.zeros(nz.shape[0])])[order]

@@ -60,9 +60,9 @@ class InversionResult:
 
     error_trace[k] is the best max-norm share error over accepted iterates
     0..k (non-increasing by construction); x_final is the iterate achieving
-    the last entry. eval_trace[k] holds the cumulative (welfare, shares,
-    jacobian) evaluation counts when iterate k was accepted; eval_counts are
-    the final totals including trailing rejected trial steps.
+    the last entry. eval_trace[k] is the number of model evaluations made
+    when iterate k was accepted; eval_counts are the final (welfare, shares,
+    jacobian) totals including trailing rejected trial steps.
     """
 
     x_final: np.ndarray
@@ -86,14 +86,14 @@ _KIND_MASK = {"contraction": (0, 1, 0), "convex_tr": (1, 1, 1), "residual_tr": (
 
 def _result(method, best_x, best_err, trace, evals, total, cfg) -> InversionResult:
     """evals[k]: evaluations made when iterate k was accepted; total: all made."""
-    mask = np.array(_KIND_MASK[method], dtype=np.int64)
+    kinds = zip(("welfare", "shares", "jacobian"), _KIND_MASK[method])
     return InversionResult(
         x_final=np.array(best_x),
         converged=best_err <= cfg.gradient_tolerance,
         iterations_used=len(trace) - 1,
         error_trace=np.array(trace),
-        eval_counts=dict(zip(("welfare", "shares", "jacobian"), (total * mask).tolist())),
-        eval_trace=np.outer(evals, mask),
+        eval_counts={kind: total * flag for kind, flag in kinds},
+        eval_trace=np.array(evals),
     )
 
 
@@ -248,9 +248,9 @@ def _residual_state(model, target):
     return state
 
 
-def convex_objective(model: DemandModel, target, x, want_hessian: bool = False):
+def convex_objective(model: DemandModel, target, x):
     """(value, gradient, hessian) of f(x) = U(x) - x'target, the function
-    `convex_tr` minimizes; hessian is None unless requested.
+    `convex_tr` minimizes.
 
     Its gradient is sigma(x) - target and its Hessian is the share Jacobian,
     so the unconstrained minimizers of f are exactly the utility vectors whose
@@ -258,8 +258,7 @@ def convex_objective(model: DemandModel, target, x, want_hessian: bool = False):
     """
     target = as_share_vector(target, model.J)
     x = as_mean_utility(x, model.J)
-    value, gradient, hessian = _convex_state(model, target)(x)[:3]
-    return value, gradient, (hessian if want_hessian else None)
+    return _convex_state(model, target)(x)[:3]
 
 
 METHODS = ("contraction", "convex_tr", "residual_tr")

@@ -146,6 +146,13 @@ MUTANTS = [
         ["tests/test_purechar.py::TestTiedSlopes::test_extreme_utilities_raise_no_warning"],
     ),
     (
+        "slope-range check removed",
+        "purechar.py",
+        "if not math.isfinite(float(slopes.max()) - float(slopes.min())):",
+        "if False:",
+        [f"{PURECHAR_BUILD}::test_overflowing_slope_range_rejected"],
+    ),
+    (
         "logit shift not clamped at 0",
         "logit.py",
         "shift = np.maximum(v.max(axis=0), 0.0)",
@@ -289,6 +296,13 @@ MUTANTS = [
         "if max(J * M, n * M, J * n) > np.iinfo(np.intp).max:",
         "if False:",
         [f"{LOGIT_BUILD}::test_sizes_numpy_cannot_index_rejected"],
+    ),
+    (
+        "band padded to the suite-wide length",
+        "harness.py",
+        "max(trace.size for trace in traces)",
+        "max(res.error_trace.size for res in results.values())",
+        ["tests/test_harness.py::TestRunSuite::test_band_independent_of_other_methods"],
     ),
     (
         "booleans accepted as integers",

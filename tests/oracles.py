@@ -246,7 +246,7 @@ def floored_step(g, B, radius):
 
 
 # The type each trace.csv column is read back as.
-_TRACE_TYPES = dict(zip(TRACE_COLUMNS, (int, str, int, float, int, int, int), strict=True))
+_TRACE_TYPES = dict(zip(TRACE_COLUMNS, (int, str, int, float, int), strict=True))
 
 
 def read_trace_csv(path) -> list[dict]:

@@ -167,7 +167,7 @@ def test_criterion_4_logit_convergence_experiment(logit_suite):
     contraction_stuck = sum(
         error_at(suite.results[("contraction", r)], 250) > 1e-3 for r in range(reps)
     )
-    rate = suite.bands.per_method["contraction"].empirical_rate
+    rate = suite.bands["contraction"].empirical_rate
     passed = (
         not suite.failures
         and convex_hits == reps

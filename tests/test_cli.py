@@ -316,6 +316,19 @@ class TestInvert:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: z @ nu.T overflows a double\n"
 
+    def test_overflowing_slope_range_is_usage_error(self, tmp_path, capsys):
+        model_path = generate(tmp_path, family="purechar", J=3, M=2, n=1)
+        doc = modelio.read_json(model_path)
+        doc["z"] = [[-1e308, 0.0], [1e308, 0.0], [1.0, 0.0]]
+        modelio.write_json(model_path, doc)
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", "0.2,0.2,0.2", "--out", tmp_path / "r.json"
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: z[:, 0] slope range (zero line included) overflows a double\n"
+
     @pytest.mark.parametrize("family", ["logit", "purechar"])
     def test_overflowing_welfare_is_one_line_usage_error(self, tmp_path, capsys, family):
         model_path = generate(tmp_path, family=family)
@@ -368,7 +381,8 @@ class TestSimulate:
         for name in ("trace.csv", "bands.json", "degeneracy.json", "manifest.json"):
             assert (out_dir / name).exists()
         bands = json.loads((out_dir / "bands.json").read_text())
-        assert bands["iterations"] == list(range(26))
+        assert list(bands) == ["methods"]
+        assert len(bands["methods"]["contraction"]["median"]) == 26
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["spec"]["master_seed"] == 4
         assert manifest["failures"] == {}
@@ -411,11 +425,10 @@ class TestSimulate:
         out_dir = tmp_path / "run"
         assert run_cli("simulate", "--spec", spec_path, "--out-dir", out_dir) == EXIT_OK
         rows = read_trace_csv(out_dir / "trace.csv")
-        longest = 1 + max(r["iteration"] for r in rows)
-        assert longest < 100
         bands = json.loads((out_dir / "bands.json").read_text())
-        assert bands["iterations"] == list(range(longest))
-        for band in bands["methods"].values():
+        for method, band in bands["methods"].items():
+            longest = 1 + max(r["iteration"] for r in rows if r["method"] == method)
+            assert longest < 100
             assert len(band["median"]) == longest
 
     def test_unknown_spec_key_is_usage_error(self, tmp_path, capsys):

@@ -68,12 +68,10 @@ class TestConvexObjective:
         value, gradient, hessian = di.convex_objective(plain_logit_1d(), [0.5], [0.0])
         assert_allclose(value, np.log(2.0) + di.EULER_GAMMA, rtol=0, atol=1e-15)
         assert_allclose(gradient, [0.0], atol=1e-15)
-        assert hessian is None
+        assert_allclose(hessian, [[0.25]], rtol=0, atol=1e-15)
 
     def test_plain_logit_anchor_at_two(self):
-        _, gradient, hessian = di.convex_objective(
-            plain_logit_1d(), [0.5], [2.0], want_hessian=True
-        )
+        _, gradient, hessian = di.convex_objective(plain_logit_1d(), [0.5], [2.0])
         expected = np.exp(2.0) / (1.0 + np.exp(2.0)) - 0.5
         assert_allclose(gradient, [expected], rtol=0, atol=1e-15)
         assert hessian.shape == (1, 1)

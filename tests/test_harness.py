@@ -146,10 +146,10 @@ class TestRunSuite:
     def test_bands_cover_full_iteration_axis(self):
         spec = small_logit_spec()
         suite = di.run_suite(spec)
-        longest = max(res.error_trace.size for res in suite.results.values())
-        assert np.array_equal(suite.bands.iterations, np.arange(longest))
-        assert set(suite.bands.per_method) == set(spec.methods)
-        for band in suite.bands.per_method.values():
+        assert set(suite.bands) == set(spec.methods)
+        for method, band in suite.bands.items():
+            # each band ends at its own method's longest trace
+            longest = max(suite.results[(method, r)].error_trace.size for r in range(3))
             for arr in (band.minimum, band.median, band.maximum):
                 assert arr.shape == (longest,)
             assert np.all(band.minimum <= band.median)
@@ -158,27 +158,40 @@ class TestRunSuite:
             assert np.all(np.diff(band.maximum) <= 0.0)
 
     def test_padding_carries_final_error(self):
-        # contraction's longer trace sets the axis that convex_tr is padded to
-        spec = small_logit_spec(methods=("contraction", "convex_tr"), replications=1)
-        suite = di.run_suite(spec)
-        trace = suite.results[("convex_tr", 0)].error_trace
-        band = suite.bands.per_method["convex_tr"]
-        assert trace.size < band.median.size
-        assert np.array_equal(band.median[: trace.size], trace)
-        assert np.all(band.median[trace.size :] == trace[-1])
+        # convex_tr's replications accept unequal numbers of iterates here,
+        # so the shorter ones are padded up to the longest
+        suite = di.run_suite(small_logit_spec(methods=("convex_tr",)))
+        traces = [suite.results[("convex_tr", r)].error_trace for r in range(3)]
+        longest = max(trace.size for trace in traces)
+        assert min(trace.size for trace in traces) < longest
+        padded = np.array([np.pad(t, (0, longest - t.size), mode="edge") for t in traces])
+        band = suite.bands["convex_tr"]
+        assert np.array_equal(band.minimum, padded.min(axis=0))
+        assert np.array_equal(band.median, np.median(padded, axis=0))
+        assert np.array_equal(band.maximum, padded.max(axis=0))
+
+    def test_band_independent_of_other_methods(self):
+        # a method's band depends on its own runs only, not on which
+        # methods ran beside it
+        alone = di.run_suite(small_logit_spec(methods=("convex_tr",)))
+        beside = di.run_suite(small_logit_spec(methods=("contraction", "convex_tr")))
+        band, other = alone.bands["convex_tr"], beside.bands["convex_tr"]
+        for name in ("minimum", "median", "maximum"):
+            assert np.array_equal(getattr(band, name), getattr(other, name))
+        assert band.empirical_rate == other.empirical_rate
 
     def test_single_replication_bands_collapse(self):
         spec = small_logit_spec(replications=1)
         suite = di.run_suite(spec)
-        for band in suite.bands.per_method.values():
+        for band in suite.bands.values():
             assert np.array_equal(band.minimum, band.maximum)
             assert np.array_equal(band.minimum, band.median)
 
     def test_rate_estimates_separate_methods(self):
         spec = small_logit_spec(replications=4)
         suite = di.run_suite(spec)
-        contraction_rate = suite.bands.per_method["contraction"].empirical_rate
-        convex_rate = suite.bands.per_method["convex_tr"].empirical_rate
+        contraction_rate = suite.bands["contraction"].empirical_rate
+        convex_rate = suite.bands["convex_tr"].empirical_rate
         assert 0.5 < contraction_rate < 1.0
         assert convex_rate < 0.5
 
@@ -186,7 +199,7 @@ class TestRunSuite:
         # every trace has length 1, too short for any rate window
         spec = small_logit_spec(delta_norm=0.0, methods=("convex_tr",))
         suite = di.run_suite(spec)
-        band = suite.bands.per_method["convex_tr"]
+        band = suite.bands["convex_tr"]
         assert math.isnan(band.empirical_rate)
         assert np.all(band.maximum == band.maximum[0])
 
@@ -228,7 +241,7 @@ class TestRunSuite:
             for r in range(4):
                 assert (method, r) in suite.results
         assert suite.degeneracy.fraction_below(1e-10) > 0.0
-        assert "contraction" in suite.bands.per_method
+        assert "contraction" in suite.bands
 
     def test_deterministic_across_runs_and_worker_counts(self, monkeypatch):
         spec = small_logit_spec(replications=3, solver=di.SolverConfig(max_iterations=25))
@@ -243,8 +256,8 @@ class TestRunSuite:
             assert np.array_equal(res.error_trace, other.error_trace)
             assert np.array_equal(res.eval_trace, other.eval_trace)
             assert res.eval_counts == other.eval_counts
-        for method, band in first.bands.per_method.items():
-            assert np.array_equal(band.median, second.bands.per_method[method].median)
+        for method, band in first.bands.items():
+            assert np.array_equal(band.median, second.bands[method].median)
         assert np.array_equal(first.degeneracy.min_overall, second.degeneracy.min_overall)
 
     def test_invalid_worker_env_rejected(self, monkeypatch):

@@ -460,6 +460,21 @@ class TestInstanceConstruction:
                     z=[[0.5, 1e200], [0.1, 1.0]], nu_rest=[[1e200], [1.0]], beta=[1.0, 1.0]
                 )
 
+    def test_overflowing_slope_range_rejected(self):
+        # each slope is finite, but their difference is not: the crossings
+        # and slope steps of every evaluation would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(di.InvalidInputError, match="slope range"):
+                di.PureCharMarket(
+                    z=[[-1e308, 0.0], [1e308, 0.0], [1.0, 0.0]], nu_rest=[[0.0]], beta=[1.0, 0.0]
+                )
+            # a wide range that still fits a double is a valid market
+            market = di.PureCharMarket(
+                z=[[-8e307, 0.0], [8e307, 0.0], [1.0, 0.0]], nu_rest=[[0.0]], beta=[1.0, 0.0]
+            )
+            assert market.evaluate([0.0, 0.0, 0.0]).shares.tolist() == [0.5, 0.5, 0.0]
+
     def test_cached_intercepts_read_only_and_exact(self):
         market, x_star, _ = di.make_purechar_instance(4, 3, 30, seed=2)
         assert not market._lines.flags.writeable

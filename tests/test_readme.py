@@ -1,8 +1,11 @@
 """README.md's "Library quick start" block runs against the current API, so a
-public name removed from the package cannot linger in the docs."""
+public name removed from the package cannot linger in the docs, and its
+`simulate` section names the current trace.csv columns and artifact version."""
 
 import re
 from pathlib import Path
+
+from demandinv.modelio import ARTIFACT_VERSION, TRACE_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +20,16 @@ def test_library_quick_start_runs(capsys):
     converged, _, final_error = capsys.readouterr().out.splitlines()[0].split()
     assert converged == "True"
     assert float(final_error) <= 1e-13
+
+
+def simulate_section() -> str:
+    return README.read_text(encoding="utf-8").split("### simulate\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_simulate_section_lists_trace_columns():
+    listed = re.search(r"`trace\.csv`:.*?columns\s+`([^`]*)`", simulate_section(), re.S).group(1)
+    assert tuple(column.strip() for column in listed.split(",")) == TRACE_COLUMNS
+
+
+def test_simulate_section_names_artifact_version():
+    assert f"(artifact version {ARTIFACT_VERSION})" in simulate_section()
