@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,14 @@ def as_mean_utility(x, J: int | None = None) -> np.ndarray:
     Rejects NaN/infinite coordinates eagerly so solvers can tell model
     failures apart from bad steps.
     """
-    x = np.atleast_1d(as_float_array(x, "mean utility"))
-    if x.ndim != 1:
+    x = as_float_array(x, "mean utility")
+    if x.ndim == 0:
+        x = x.reshape(1)
+    elif x.ndim != 1:
         raise InvalidInputError(f"mean utility must be a vector, got shape {x.shape}")
     if J is not None and x.shape[0] != J:
         raise InvalidInputError(f"mean utility has dimension {x.shape[0]}, expected {J}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError("mean utility has NaN or infinite coordinates")
     return x
 
@@ -58,7 +61,7 @@ def as_share_vector(s, J: int | None = None) -> np.ndarray:
         raise InvalidInputError(f"share vector must be a vector, got shape {s.shape}")
     if J is not None and s.shape[0] != J:
         raise InvalidInputError(f"share vector has dimension {s.shape[0]}, expected {J}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise InvalidInputError("share vector has NaN or infinite coordinates")
     bad = np.nonzero(s < -SIMPLEX_ATOL)[0]
     if bad.size:
@@ -82,7 +85,7 @@ def set_frozen_array(obj, name: str, value, shape=None) -> np.ndarray:
     arr = np.array(as_float_array(value, name))
     if shape is not None and arr.shape != shape:
         raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -104,7 +107,7 @@ def frozen_product(a, b, name: str) -> np.ndarray:
     double, which would make every later evaluation fail."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = a @ b
-    if not np.all(np.isfinite(product)):
+    if not np.isfinite(product).all():
         raise InvalidInputError(f"{name} overflows a double")
     product.setflags(write=False)
     return product
@@ -123,16 +126,16 @@ class ModelEvaluation:
     jacobian: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.welfare):
+        if not math.isfinite(self.welfare):
             raise InvalidInputError("welfare must be finite")
         shares = np.asarray(self.shares, dtype=float)
-        if shares.ndim != 1 or not np.all(np.isfinite(shares)):
+        if shares.ndim != 1 or not np.isfinite(shares).all():
             raise InvalidInputError("shares must be a finite vector")
         object.__setattr__(self, "shares", shares)
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian, dtype=float)
             J = shares.shape[0]
-            if jac.shape != (J, J) or not np.all(np.isfinite(jac)):
+            if jac.shape != (J, J) or not np.isfinite(jac).all():
                 raise InvalidInputError(f"jacobian must be a finite {J}x{J} matrix")
             object.__setattr__(self, "jacobian", jac)
 

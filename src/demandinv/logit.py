@@ -68,14 +68,14 @@ class LogitMarket(DemandModel):
         """
         x = as_mean_utility(x, self.J)
         v = self._zn + x[:, None]  # (J, n) systematic utilities, a fresh array
-        shift = np.maximum(v.max(axis=0), 0.0)
+        shift = v.max(axis=0, initial=0.0)
         v -= shift
         np.exp(v, out=v)
         outside = np.exp(-shift)
         denom = outside + v.sum(axis=0)
-        welfare = float((shift + np.log(denom)).mean()) + EULER_GAMMA
+        welfare = float((shift + np.log(denom)).sum() / self.n) + EULER_GAMMA
         v /= denom  # (J, n) per-consumer choice probabilities
-        shares = v.mean(axis=1)
+        shares = v.sum(axis=1) / self.n
         jac = None
         if want_jacobian:
             cross = v @ v.T

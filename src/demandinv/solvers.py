@@ -101,19 +101,19 @@ def _contraction(model, target, x, cfg) -> InversionResult:
     """BLP fixed point on a validated interior target, from a validated start x."""
     shares = model.evaluate(x).shares
     best_err = float(np.abs(shares - target).max())
-    best_x = x.copy()
+    best_x = x  # each iterate is a fresh array, never written in place
     trace = [best_err]
 
     log_target = np.log(target)
     while best_err > cfg.gradient_tolerance and len(trace) <= cfg.max_iterations:
-        if np.any(shares == 0.0):
+        if not shares.all():
             break  # log undefined: report a diverged run, not an exception
         x = x + log_target - np.log(shares)
         shares = model.evaluate(x).shares
         err = float(np.abs(shares - target).max())
         if err < best_err:
             best_err = err
-            best_x = x.copy()
+            best_x = x
         trace.append(best_err)
     evals = range(1, len(trace) + 1)  # one evaluation per iterate
     return _result("contraction", best_x, best_err, trace, evals, len(trace), cfg)
@@ -176,7 +176,7 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
     lam, V = _floor_hessian(B)
     gt = V.T @ g
     best_err = err
-    best_x = x.copy()
+    best_x = x  # each iterate is a fresh array, never written in place
     trace = [best_err]
     evals = [1]
     radius = INITIAL_RADIUS
@@ -206,7 +206,7 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
             x, f, gt, err, scale = x_trial, f_t, V.T @ g_t, err_t, scale_t
             if err < best_err:
                 best_err = err
-                best_x = x.copy()
+                best_x = x
             trace.append(best_err)
             evals.append(trials + 1)
             if rho >= EXPAND_RATIO and hit_boundary:

@@ -44,6 +44,8 @@ MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_us
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
 LOGIT_BUILD = "tests/test_logit.py::TestInstanceConstruction"
 PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
+VALIDATORS = "tests/test_core.py::TestValidators"
+NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -155,15 +157,15 @@ MUTANTS = [
     (
         "logit shift not clamped at 0",
         "logit.py",
-        "shift = np.maximum(v.max(axis=0), 0.0)",
+        "shift = v.max(axis=0, initial=0.0)",
         "shift = v.max(axis=0)",
         [LOGIT_PROPERTY],
     ),
     (
         "logit shift not added back to the log-sum",
         "logit.py",
-        "float((shift + np.log(denom)).mean())",
-        "float(np.log(denom).mean())",
+        "float((shift + np.log(denom)).sum() / self.n)",
+        "float(np.log(denom).sum() / self.n)",
         [LOGIT_PROPERTY],
     ),
     (
@@ -212,8 +214,8 @@ MUTANTS = [
         "best_x updated on every accepted step",
         "solvers.py",
         "scale_t\n            if err < best_err:\n                best_err = err\n"
-        "                best_x = x.copy()\n",
-        "scale_t\n            best_x = x.copy()\n            if err < best_err:\n"
+        "                best_x = x\n",
+        "scale_t\n            best_x = x\n            if err < best_err:\n"
         "                best_err = err\n",
         [CONTRACT],
     ),
@@ -234,7 +236,7 @@ MUTANTS = [
     (
         "no zero-share guard in contraction",
         "solvers.py",
-        "        if np.any(shares == 0.0):\n            break",
+        "        if not shares.all():\n            break",
         "        if False:\n            break",
         ["tests/test_solvers.py::TestContraction::test_zero_model_share_ends_run"],
     ),
@@ -283,12 +285,33 @@ MUTANTS = [
     (
         "overflowing utility product accepted",
         "core.py",
-        "if not np.all(np.isfinite(product)):",
+        "if not np.isfinite(product).all():",
         "if False:",
         [
             f"{LOGIT_BUILD}::test_overflowing_utilities_rejected",
             f"{PURECHAR_BUILD}::test_overflowing_intercepts_rejected",
         ],
+    ),
+    (
+        "mean-utility finiteness check dropped",
+        "core.py",
+        "if not np.isfinite(x).all():",
+        "if False:",
+        [f"{VALIDATORS}::test_mean_utility_rejects_nonfinite"],
+    ),
+    (
+        "ModelEvaluation shares finiteness dropped",
+        "core.py",
+        "if shares.ndim != 1 or not np.isfinite(shares).all():",
+        "if shares.ndim != 1:",
+        [f"{VALIDATORS}::test_model_evaluation_rejects_nonfinite_shares", NAN_SHARES],
+    ),
+    (
+        "Jacobian finiteness dropped",
+        "core.py",
+        "if jac.shape != (J, J) or not np.isfinite(jac).all():",
+        "if jac.shape != (J, J):",
+        [f"{VALIDATORS}::test_model_evaluation_rejects_nan_jacobian_entry"],
     ),
     (
         "market sizes numpy cannot index passed on",

@@ -24,11 +24,17 @@ class TestValidators:
         x = di.as_mean_utility([1.0, -2.5], 2)
         assert x.dtype == np.float64 and x.shape == (2,)
 
+    def test_mean_utility_of_scalar_is_one_vector(self):
+        x = di.as_mean_utility(2.5, 1)
+        assert x.dtype == np.float64 and x.shape == (1,) and x[0] == 2.5
+
     def test_mean_utility_rejects_nonfinite(self):
         with pytest.raises(di.InvalidInputError):
             di.as_mean_utility([1.0, np.nan])
         with pytest.raises(di.InvalidInputError):
             di.as_mean_utility([np.inf])
+        with pytest.raises(di.InvalidInputError, match="NaN or infinite"):
+            di.as_mean_utility(-np.inf)
 
     def test_mean_utility_dimension_check(self):
         with pytest.raises(di.InvalidInputError):
@@ -61,6 +67,25 @@ class TestValidators:
             di.ModelEvaluation(1.0, np.array([0.5]), np.zeros((2, 2)))
         ev = di.ModelEvaluation(1.0, np.array([0.5]), np.array([[0.25]]))
         assert ev.jacobian.shape == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model_evaluation_rejects_nonfinite_shares(self, bad):
+        with pytest.raises(di.InvalidInputError, match="finite vector"):
+            di.ModelEvaluation(1.0, np.array([0.5, bad]))
+
+    def test_model_evaluation_rejects_matrix_shares(self):
+        with pytest.raises(di.InvalidInputError, match="finite vector"):
+            di.ModelEvaluation(1.0, np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_model_evaluation_rejects_infinite_welfare(self, bad):
+        with pytest.raises(di.InvalidInputError, match="welfare must be finite"):
+            di.ModelEvaluation(bad, np.array([0.5]))
+
+    def test_model_evaluation_rejects_nan_jacobian_entry(self):
+        jac = np.array([[0.25, 0.0], [0.0, np.nan]])
+        with pytest.raises(di.InvalidInputError, match="jacobian must be a finite 2x2"):
+            di.ModelEvaluation(1.0, np.array([0.5, 0.25]), jac)
 
 
 class TestConvexObjective:

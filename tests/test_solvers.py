@@ -74,6 +74,27 @@ class RecordingModel(di.DemandModel):
         return self.inner.evaluate(x, want_jacobian=want_jacobian)
 
 
+class NaNSharesModel(di.DemandModel):
+    """Pass-through wrapper: the first `nan_from` evaluations are the inner
+    model's, every later one has NaN shares."""
+
+    def __init__(self, inner, nan_from):
+        self.inner = inner
+        self.nan_from = nan_from
+        self.calls = 0
+
+    @property
+    def J(self):
+        return self.inner.J
+
+    def evaluate(self, x, want_jacobian=False):
+        ev = self.inner.evaluate(x, want_jacobian=want_jacobian)
+        self.calls += 1
+        if self.calls <= self.nan_from:
+            return ev
+        return di.ModelEvaluation(ev.welfare, np.full(self.J, np.nan), ev.jacobian)
+
+
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = di.SolverConfig()
@@ -423,6 +444,16 @@ class TestSharedContract:
         assert np.array_equal(first.x_final, second.x_final)
         assert np.array_equal(first.error_trace, second.error_trace)
         assert first.eval_counts == second.eval_counts
+
+    @pytest.mark.parametrize("nan_from", [0, 1])
+    @pytest.mark.parametrize("method", di.METHODS)
+    def test_nan_shares_raise(self, method, nan_from):
+        # no NaN reaches a solver unseen, at the start or at a trial point
+        market, x_star, sigma_star = di.make_logit_instance(3, 2, 20, seed=1)
+        model = NaNSharesModel(market, nan_from)
+        with pytest.raises(di.InvalidInputError, match="shares must be a finite vector"):
+            di.invert(model, sigma_star, method, x0=x_star + 0.5)
+        assert model.calls == nan_from + 1
 
     def test_unknown_method_rejected(self):
         market, _, sigma_star = di.make_logit_instance(3, 2, 20, seed=1)

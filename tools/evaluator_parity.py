@@ -1,16 +1,19 @@
-"""Bitwise parity of PureCharMarket.evaluate between two source trees.
+"""Bitwise parity of LogitMarket.evaluate and PureCharMarket.evaluate between
+two source trees.
 
-Draws seeded random pure-characteristics markets of five kinds (generic
-normal slopes, slopes tied on a 0.5 grid, slopes one ulp apart, coarse
-integer grids where equal-slope lines coincide, and grids with -0.0 slopes),
-evaluates each at x*, x* + N(0,1), 1e6 x*, 0 and x* - 8, with and without the
-Jacobian, in each tree, and compares shares, welfare and Jacobian byte for
-byte. Each tree is imported in its own subprocess. Run it as
+Draws seeded random logit markets (J 1-15, M 1-5, n 1-399) and random
+pure-characteristics markets of five kinds (generic normal slopes, slopes
+tied on a 0.5 grid, slopes one ulp apart, coarse integer grids where
+equal-slope lines coincide, and grids with -0.0 slopes), evaluates each at
+x*, x* + N(0,1), 1e6 x*, 0 and x* - 8, with and without the Jacobian, in each
+tree, and compares shares, welfare and Jacobian byte for byte. Each tree is
+imported in its own subprocess. Run it as
 
     python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120]
 
-where OLD_SRC and NEW_SRC are directories holding a `demandinv` package. It
-exits 1 when any evaluation differs.
+where OLD_SRC and NEW_SRC are directories holding a `demandinv` package and
+--per-kind is the number of markets of each kind (logit is one kind). It
+prints one line per family and exits 1 when any evaluation differs.
 """
 
 from __future__ import annotations
@@ -23,9 +26,24 @@ import sys
 KINDS = ("generic", "grid", "ulp", "coincident", "signed_zero")
 
 
-def draw(kind: str, rng):
-    """(z, nu_rest, beta) of one random market of the given kind."""
+def draw_logit(rng):
+    """A random LogitMarket with J 1-15, M 1-5 and n 1-399, and its x*."""
+    from demandinv import LogitMarket
+
+    J = int(rng.integers(1, 16))
+    M = int(rng.integers(1, 6))
+    n = int(rng.integers(1, 400))
+    z = rng.standard_normal((J, M))
+    nu = rng.standard_normal((n, M))
+    beta = rng.random(M)
+    return LogitMarket(z=z, nu=nu, beta=beta), z @ beta
+
+
+def draw_purechar(kind: str, rng):
+    """A random PureCharMarket of the given kind, and its x*."""
     import numpy as np
+
+    from demandinv import PureCharMarket
 
     J = int(rng.integers(1, 16))
     M = int(rng.integers(2, 5))
@@ -47,22 +65,19 @@ def draw(kind: str, rng):
     if kind in ("coincident", "signed_zero"):
         # integer utilities too, so lines also coincide at x*
         beta[1:] = rng.integers(0, 2, M - 1)
-    return z, nu_rest, beta
+    return PureCharMarket(z=z, nu_rest=nu_rest, beta=beta), z @ beta
 
 
-def dump(per_kind: int) -> list:
-    """Every evaluation's (welfare, shares, jacobian) bytes, in a fixed order."""
+def dump(per_kind: int) -> dict:
+    """Per family, every evaluation's (welfare, shares, jacobian) bytes, in a fixed order."""
     import numpy as np
 
-    from demandinv import PureCharMarket
-
-    out = []
-    for k, kind in enumerate(KINDS):
+    out = {"purechar": [], "logit": []}
+    for k, kind in enumerate(KINDS + ("logit",)):
+        family = "logit" if kind == "logit" else "purechar"
         rng = np.random.default_rng([k, 2024])
         for _ in range(per_kind):
-            z, nu_rest, beta = draw(kind, rng)
-            market = PureCharMarket(z=z, nu_rest=nu_rest, beta=beta)
-            x_star = z @ beta
+            market, x_star = draw_logit(rng) if kind == "logit" else draw_purechar(kind, rng)
             points = (x_star, x_star + rng.standard_normal(x_star.size), 1e6 * x_star,
                       np.zeros_like(x_star), x_star - 8.0)
             for x in points:
@@ -70,10 +85,11 @@ def dump(per_kind: int) -> list:
                     try:
                         ev = market.evaluate(x, want_jacobian=want)
                     except Exception as exc:  # a raising evaluation is an output too
-                        out.append((type(exc).__name__, str(exc)))
+                        out[family].append((type(exc).__name__, str(exc)))
                         continue
                     jac = b"" if ev.jacobian is None else ev.jacobian.tobytes()
-                    out.append((np.float64(ev.welfare).tobytes(), ev.shares.tobytes(), jac))
+                    welfare = np.float64(ev.welfare).tobytes()
+                    out[family].append((welfare, ev.shares.tobytes(), jac))
     return out
 
 
@@ -93,10 +109,14 @@ def main() -> int:
         cmd = [sys.executable, __file__, src, src, "--per-kind", str(args.per_kind), "--dump"]
         runs.append(pickle.loads(subprocess.run(cmd, stdout=subprocess.PIPE, check=True).stdout))
     old, new = runs
-    differ = sum(a != b for a, b in zip(old, new))
-    markets = len(KINDS) * args.per_kind
-    print(f"{markets} markets, {len(old)} evaluations, {differ} differ bitwise")
-    return 1 if differ or len(old) != len(new) else 0
+    bad = False
+    for family, kinds in (("logit", 1), ("purechar", len(KINDS))):
+        a, b = old[family], new[family]
+        differ = sum(x != y for x, y in zip(a, b))
+        markets = kinds * args.per_kind
+        print(f"{family}: {markets} markets, {len(a)} evaluations, {differ} differ bitwise")
+        bad |= differ > 0 or len(a) != len(b)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
