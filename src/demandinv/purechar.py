@@ -12,6 +12,7 @@ quadrature is involved; true zero shares come out as exact zeros.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,35 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # underflow path.
 _PHI_CLIP = 1e150
 _TINY = np.finfo(float).smallest_subnormal
+# Each thread's _Scratch for the latest (K, n) it evaluated, so that concurrent
+# evaluations never share working arrays and a thread keeps one shape's worth.
+_LOCAL = threading.local()
 
 
 def _phi(t):
     """Standard normal pdf, exact 0 at +-inf."""
     return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP)))
+
+
+class _Scratch:
+    """Working arrays for evaluating a market of K lines and n consumers.
+
+    A, L, R and the crossing buffer are (K, n); `lines` holds the bounds loop's
+    views of them for each line c >= 1. t and s have room for all K*n segments
+    and the closing +inf. A segment's consumer-major flat index i*K + c maps to
+    its flat index c*n + i in the (K, n) arrays through `at`, and to its line c
+    through `line`. Each evaluation writes every entry it reads, so nothing
+    carries over from one call to the next.
+    """
+
+    def __init__(self, K: int, n: int):
+        self.shape = (K, n)
+        self.A, self.L, self.R, buf = np.empty((4, K, n))
+        self.t, self.s = np.empty((2, K * n + 1))
+        A, L, R = self.A, self.L, self.R
+        self.lines = [(A[:c], A[c], buf[:c], L[c], R[:c]) for c in range(1, K)]
+        self.at = (np.arange(K) * n + np.arange(n)[:, None]).ravel()
+        self.line = np.tile(np.arange(K), n)
 
 
 @dataclass(frozen=True)
@@ -163,9 +188,15 @@ class PureCharMarket(DemandModel):
         nz = frozen_product(nu, z[:, 1:].T, "nu_rest @ z[:, 1:].T")
         lines = np.vstack([nz.T, np.zeros(nz.shape[0])])[order]
         lines.setflags(write=False)
+        bs = slopes[order]
+        # Slope gaps b_c - b_p of each line c against the lines p < c before it,
+        # as the (c, 1) columns that divide the bounds loop's crossings.
+        gaps = bs[:, None] - bs
+        gaps.setflags(write=False)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_slopes", slopes[order])
+        object.__setattr__(self, "_slopes", bs)
         object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_gaps", [gaps[c, :c, None] for c in range(1, J + 1)])
 
     @property
     def J(self) -> int:
@@ -192,6 +223,8 @@ class PureCharMarket(DemandModel):
         integrated. Two consecutive ones meet at a breakpoint t, whose tail
         mass Phi(-|t|) and density phi(t) are computed once and shared by
         both; the Jacobian sums one rank-one flux per breakpoint.
+        The working arrays are the calling thread's scratch for (K, n), so
+        concurrent calls share none, and every returned array is fresh.
         scipy.special is imported on the first call.
         """
         J = self.J
@@ -199,39 +232,48 @@ class PureCharMarket(DemandModel):
         n = self.n
         order = self._order
         bs = self._slopes
+        scratch = getattr(_LOCAL, "scratch", None)
+        if scratch is None or scratch.shape != (K, n):
+            # a new shape replaces, and so releases, this thread's old scratch
+            scratch = _LOCAL.scratch = _Scratch(K, n)
+        A, L, R = scratch.A, scratch.L, scratch.R
 
         # The crossing of lines p < c bounds c from the left and p from the
         # right. A, L and R are (K, n), so the loop works on contiguous rows.
-        A = self._lines + np.append(as_mean_utility(x, J), 0.0)[order, None]
-        L = np.full((K, n), -np.inf)
-        R = np.full((K, n), np.inf)
-        gaps = bs[:, None] - bs
-        buf = np.empty((K, n))
+        np.add(self._lines, np.append(as_mean_utility(x, J), 0.0)[order, None], out=A)
+        L.fill(-np.inf)
+        R.fill(np.inf)
         # Slopes a subnormal apart overflow to an infinite crossing, and equal
         # slopes divide by zero to one, both the right value. Coincident lines
         # give NaN, which max keeps in L and fmin leaves out of R.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for c in range(1, K):
-                cross = np.subtract(A[:c], A[c], out=buf[:c])
-                cross /= gaps[c, :c, None]
-                cross.max(axis=0, out=L[c])
-                np.fmin(R[:c], cross, out=R[:c])
+            for (Ap, Ac, cross, Lc, Rp), gap in zip(scratch.lines, self._gaps):
+                np.subtract(Ap, Ac, out=cross)
+                cross /= gap
+                cross.max(axis=0, out=Lc)
+                np.fmin(Rp, cross, out=Rp)
 
         # The alive segments, listed per consumer in slope order, so one
         # consumer's envelope is a run of consecutive entries; `at` is each
-        # one's flat index in the (K, n) arrays.
-        rows, cs = np.nonzero(L.T < R.T)
-        at = cs * n + rows
-        # Segment k spans (t[k], t[k + 1]): t lists each consumer's opening
+        # one's flat index in the (K, n) arrays and `cs` its line.
+        alive = np.flatnonzero(np.less(L, R).T)
+        at = scratch.at[alive]
+        cs = scratch.line[alive]
+        k = alive.size
+        # Segment m spans (t[m], t[m + 1]): t lists each consumer's opening
         # -inf and interior breakpoints, then a closing +inf, and the -inf
         # that opens a consumer also closes the segment before it.
-        t = np.append(L.ravel()[at], np.inf)
+        t = scratch.t[: k + 1]
+        t[:k] = L.ravel()[at]
+        t[k] = np.inf
         # Each normal mass is taken on its tail side, where it cannot cancel:
-        # with s = sign(t) Phi(-|t|), a segment's mass is s[k] - s[k + 1],
+        # with s = sign(t) Phi(-|t|), segment m's mass is s[m] - s[m + 1],
         # plus 1 when it straddles 0.
         from scipy.special import ndtr
 
-        s = np.copysign(ndtr(-np.abs(t)), t)
+        s = scratch.s[: k + 1]
+        np.negative(np.abs(t, out=s), out=s)
+        np.copysign(ndtr(s, out=s), t, out=s)
         neg = np.signbit(t)
         straddle = neg[:-1] > (neg & np.isfinite(t))[1:]
         mass = np.maximum(s[:-1] - s[1:] + straddle, 0.0)

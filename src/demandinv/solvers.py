@@ -147,12 +147,12 @@ def _floor_hessian(B) -> tuple[np.ndarray, np.ndarray]:
 def _tr_step(gt, lam, radius) -> np.ndarray:
     """Dogleg step on the model gt'p + p'diag(lam)p/2 within `radius`; lam > 0."""
     p_newton = -gt / lam
-    if float(np.linalg.norm(p_newton)) <= radius:
+    if math.sqrt(float(p_newton @ p_newton)) <= radius:
         return p_newton
     gg = float(gt @ gt)
     gBg = float(lam @ gt**2)
     p_cauchy = -(gg / gBg) * gt
-    norm_cauchy = float(np.linalg.norm(p_cauchy))
+    norm_cauchy = math.sqrt(float(p_cauchy @ p_cauchy))
     if norm_cauchy >= radius:
         return -(radius / math.sqrt(gg)) * gt
     d = p_newton - p_cauchy
@@ -201,7 +201,7 @@ def _trust_region(method, x, cfg, state) -> InversionResult:
         else:
             rho = actual / pred
         if rho >= ACCEPT_RATIO:
-            hit_boundary = float(np.linalg.norm(pt)) >= (1.0 - 1e-6) * radius
+            hit_boundary = math.sqrt(float(pt @ pt)) >= (1.0 - 1e-6) * radius
             lam, V = _floor_hessian(B_t)
             x, f, gt, err, scale = x_trial, f_t, V.T @ g_t, err_t, scale_t
             if err < best_err:

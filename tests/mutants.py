@@ -44,6 +44,8 @@ MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_us
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
 LOGIT_BUILD = "tests/test_logit.py::TestInstanceConstruction"
 PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
+SCRATCH = "tests/test_purechar.py::TestScratch"
+SAME_SHAPE = f"{SCRATCH}::test_other_markets_between_calls_change_nothing"
 VALIDATORS = "tests/test_core.py::TestValidators"
 NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
 
@@ -66,30 +68,65 @@ MUTANTS = [
     (
         "left bound from the adjacent lower line only",
         "purechar.py",
-        "cross.max(axis=0, out=L[c])",
-        "L[c] = cross[-1]",
+        "cross.max(axis=0, out=Lc)",
+        "Lc[...] = cross[-1]",
         [GENERIC_SWEEP],
     ),
     (
         "coincident lines' NaN crossing dropped from the left bound",
         "purechar.py",
-        "cross.max(axis=0, out=L[c])",
-        "np.fmax.reduce(cross, axis=0, out=L[c])",
+        "cross.max(axis=0, out=Lc)",
+        "np.fmax.reduce(cross, axis=0, out=Lc)",
         [TIES],
     ),
     (
         "coincident lines' NaN crossing kept in the right bound",
         "purechar.py",
-        "np.fmin(R[:c], cross, out=R[:c])",
-        "np.minimum(R[:c], cross, out=R[:c])",
+        "np.fmin(Rp, cross, out=Rp)",
+        "np.minimum(Rp, cross, out=Rp)",
         [TIES],
     ),
     (
         "right bound from the adjacent higher line only",
         "purechar.py",
-        "np.fmin(R[:c], cross, out=R[:c])",
-        "np.fmin(R[c - 1 : c], cross[-1:], out=R[c - 1 : c])",
+        "np.fmin(Rp, cross, out=Rp)",
+        "np.fmin(Rp[-1:], cross[-1:], out=Rp[-1:])",
         [GENERIC_SWEEP],
+    ),
+    (
+        "left bounds not reset between calls",
+        "purechar.py",
+        "        L.fill(-np.inf)\n",
+        "",
+        [SAME_SHAPE, GENERIC_SWEEP, TIES],
+    ),
+    (
+        "right bounds not reset between calls",
+        "purechar.py",
+        "        R.fill(np.inf)\n",
+        "",
+        [SAME_SHAPE, GENERIC_SWEEP],
+    ),
+    (
+        "alive segments listed line-major",
+        "purechar.py",
+        "np.flatnonzero(np.less(L, R).T)",
+        "np.flatnonzero(np.less(L, R))",
+        [GENERIC_SWEEP],
+    ),
+    (
+        "closing +inf breakpoint not written",
+        "purechar.py",
+        "        t[k] = np.inf\n",
+        "",
+        [SAME_SHAPE, GENERIC_SWEEP],
+    ),
+    (
+        "scratch shared by all threads",
+        "purechar.py",
+        "_LOCAL = threading.local()",
+        '_LOCAL = type("Shared", (), {})()',
+        [f"{SCRATCH}::test_concurrent_threads_match_sequential"],
     ),
     (
         "crossing arithmetic unguarded",
@@ -101,8 +138,8 @@ MUTANTS = [
     (
         "mass not taken on the tail side",
         "purechar.py",
-        "ndtr(-np.abs(t))",
-        "(1.0 - ndtr(np.abs(t)))",
+        "np.copysign(ndtr(s, out=s), t, out=s)",
+        "np.copysign(1.0 - ndtr(-s), t, out=s)",
         [f"{CLOSED_FORMS}::test_tail_share_is_relatively_exact"],
     ),
     (

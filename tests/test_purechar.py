@@ -1,8 +1,10 @@
 """Pure-characteristics evaluator: closed forms, tail accuracy, the slope
 negation and gradient = shares invariants, Monte Carlo equivalence, quadrature
 cross-checks, and agreement with the per-consumer sweep oracle on generic and
-tied slopes."""
+tied slopes, and the evaluator's per-thread working arrays."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -356,6 +358,89 @@ class TestEvaluationPaths:
         assert np.array_equal(first.shares, second.shares)
         assert first.welfare == second.welfare
         assert np.array_equal(first.jacobian, second.jacobian)
+
+
+def snapshot(ev):
+    """An evaluation's welfare, shares and Jacobian as bytes."""
+    return np.float64(ev.welfare).tobytes(), ev.shares.tobytes(), ev.jacobian.tobytes()
+
+
+def same_shape_markets():
+    """(market, x) pairs: three of one (K, n) with different alive segments, then
+    one of another (K, n)."""
+    a, xa, _ = di.make_purechar_instance(6, 3, 40, seed=21)
+    b, xb, _ = di.make_purechar_instance(6, 3, 40, seed=22)
+    tied, x_tied = tie_case([0.5, 0.5, 1.0, -1.0, 0.5, 0.0], [0.3, 0.3, -0.2, 0.1, 0.0, 0.2], n=40)
+    c, xc, _ = di.make_purechar_instance(4, 2, 17, seed=23)
+    return [(a, xa), (b, xb + 2.0), (tied, x_tied), (c, xc)]
+
+
+class TestScratch:
+    def test_other_markets_between_calls_change_nothing(self):
+        # same (K, n), then another shape, then the first market again
+        cases = same_shape_markets()
+        market, x = cases[0]
+        first = snapshot(market.evaluate(x, want_jacobian=True))
+        for other, y in cases[1:]:
+            other.evaluate(y, want_jacobian=True)
+            assert snapshot(market.evaluate(x, want_jacobian=True)) == first
+        assert_matches_sweep(market, x)
+
+    def test_returned_arrays_survive_later_calls(self):
+        cases = same_shape_markets()
+        market, x = cases[0]
+        ev = market.evaluate(x, want_jacobian=True)
+        kept = snapshot(ev)
+        market.evaluate(x - 1.0, want_jacobian=True)
+        for other, y in cases[1:]:
+            other.evaluate(y, want_jacobian=True)
+        assert snapshot(ev) == kept
+
+    def test_concurrent_threads_match_sequential(self):
+        cases = same_shape_markets()[:3]
+        expected = [snapshot(m.evaluate(x, want_jacobian=True)) for m, x in cases]
+        rounds, workers = 60, 4
+        start = threading.Barrier(workers, timeout=30)
+        seen = {}
+
+        def work(k):
+            # each thread cycles through the same-shape markets from its own offset
+            start.wait()
+            got = []
+            for r in range(rounds):
+                m, x = cases[(r + k) % len(cases)]
+                got.append(snapshot(m.evaluate(x, want_jacobian=True)))
+            seen[k] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(workers):
+            assert seen[k] == [expected[(r + k) % len(cases)] for r in range(rounds)]
+
+    def test_smaller_shape_releases_larger_scratch(self):
+        small, x_small, _ = di.make_purechar_instance(2, 2, 5, seed=1)
+        large, x_large, _ = di.make_purechar_instance(10, 2, 10_000, seed=1)
+        small.evaluate(x_small)
+        tracemalloc.start()
+        try:
+            large.evaluate(x_large)
+            held = tracemalloc.get_traced_memory()[0]
+            small.evaluate(x_small)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the large scratch holds 64 bytes per line and consumer, 7 MB here
+        assert held >= 64 * 11 * 10_000
+        assert after <= 2**16
 
 
 class TestTiedSlopes:

@@ -6,8 +6,11 @@ pure-characteristics markets of five kinds (generic normal slopes, slopes
 tied on a 0.5 grid, slopes one ulp apart, coarse integer grids where
 equal-slope lines coincide, and grids with -0.0 slopes), evaluates each at
 x*, x* + N(0,1), 1e6 x*, 0 and x* - 8, with and without the Jacobian, in each
-tree, and compares shares, welfare and Jacobian byte for byte. Each tree is
-imported in its own subprocess. Run it as
+tree, and compares shares, welfare and Jacobian byte for byte. Each
+pure-characteristics evaluation is then repeated after evaluating a twin
+market of the same shape (products and consumers in reverse order), so that
+working arrays carried over from one call to the next show as differences.
+Each tree is imported in its own subprocess. Run it as
 
     python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120]
 
@@ -68,9 +71,23 @@ def draw_purechar(kind: str, rng):
     return PureCharMarket(z=z, nu_rest=nu_rest, beta=beta), z @ beta
 
 
-def dump(per_kind: int) -> dict:
-    """Per family, every evaluation's (welfare, shares, jacobian) bytes, in a fixed order."""
+def record(market, x, want: bool) -> tuple:
+    """One evaluation's (welfare, shares, jacobian) bytes, or its exception."""
     import numpy as np
+
+    try:
+        ev = market.evaluate(x, want_jacobian=want)
+    except Exception as exc:  # a raising evaluation is an output too
+        return type(exc).__name__, str(exc)
+    jac = b"" if ev.jacobian is None else ev.jacobian.tobytes()
+    return np.float64(ev.welfare).tobytes(), ev.shares.tobytes(), jac
+
+
+def dump(per_kind: int) -> dict:
+    """Per family, every evaluation's record, in a fixed order."""
+    import numpy as np
+
+    from demandinv import PureCharMarket
 
     out = {"purechar": [], "logit": []}
     for k, kind in enumerate(KINDS + ("logit",)):
@@ -80,16 +97,17 @@ def dump(per_kind: int) -> dict:
             market, x_star = draw_logit(rng) if kind == "logit" else draw_purechar(kind, rng)
             points = (x_star, x_star + rng.standard_normal(x_star.size), 1e6 * x_star,
                       np.zeros_like(x_star), x_star - 8.0)
+            twin = None
+            if family == "purechar":
+                twin = PureCharMarket(
+                    z=market.z[::-1], nu_rest=market.nu_rest[::-1], beta=market.beta
+                )
             for x in points:
                 for want in (False, True):
-                    try:
-                        ev = market.evaluate(x, want_jacobian=want)
-                    except Exception as exc:  # a raising evaluation is an output too
-                        out[family].append((type(exc).__name__, str(exc)))
-                        continue
-                    jac = b"" if ev.jacobian is None else ev.jacobian.tobytes()
-                    welfare = np.float64(ev.welfare).tobytes()
-                    out[family].append((welfare, ev.shares.tobytes(), jac))
+                    out[family].append(record(market, x, want))
+                    if twin is not None:
+                        record(twin, x[::-1] + 1.0, want)
+                        out[family].append(record(market, x, want))
     return out
 
 
