@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import InvalidInputError, as_mean_utility, as_share_vector
-from .harness import MAKERS, perturb_start, run_suite
+from .harness import FAMILIES, perturb_start, run_suite
 from .modelio import (
     bands_to_dict,
     degeneracy_to_dict,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="draw a synthetic market instance")
-    gen.add_argument("--family", choices=tuple(MAKERS), required=True)
+    gen.add_argument("--family", choices=tuple(FAMILIES), required=True)
     gen.add_argument("--J", type=int, required=True, help="number of products")
     gen.add_argument("--M", type=int, required=True, help="attribute dimension")
     gen.add_argument("--n", type=int, required=True, help="simulated consumers")
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    market, x_star, sigma_star = MAKERS[args.family](args.J, args.M, args.n, args.seed)
+    market, x_star, sigma_star = FAMILIES[args.family].make(args.J, args.M, args.n, args.seed)
     out = Path(args.out)
     truth = truth_path_for(out)
     save_model(out, market, seed=args.seed)

@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import InvalidInputError, as_float_array, as_mean_utility, as_share_vector
-from .harness import DEGENERACY_THRESHOLD, DegeneracyStats, ExperimentSpec, MethodBand
-from .logit import LogitMarket
-from .purechar import PureCharMarket
+from .harness import DEGENERACY_THRESHOLD, FAMILIES, DegeneracyStats, ExperimentSpec, MethodBand
 from .solvers import InversionResult
 
 ARTIFACT_VERSION = "4"
@@ -113,11 +111,8 @@ def _from_doc(cls, doc, what: str):
 
 
 def model_to_dict(market, seed=None) -> dict:
-    if isinstance(market, LogitMarket):
-        family, nu = "logit", market.nu
-    elif isinstance(market, PureCharMarket):
-        family, nu = "purechar", market.nu_rest
-    else:
+    family = next((name for name, fam in FAMILIES.items() if isinstance(market, fam.market)), None)
+    if family is None:
         raise InvalidInputError(f"cannot serialize model of type {type(market).__name__}")
     doc = {
         "family": family,
@@ -126,7 +121,7 @@ def model_to_dict(market, seed=None) -> dict:
         "n": market.n,
         "beta": market.beta.tolist(),
         "z": market.z.tolist(),
-        "nu": nu.tolist(),
+        "nu": getattr(market, FAMILIES[family].draws).tolist(),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -138,20 +133,17 @@ def market_from_dict(doc):
         raise InvalidInputError("model file must hold a JSON object")
     _require(doc, ("family", "J", "M", "n", "beta", "z", "nu"), "model file")
     _reject_unknown(doc, _MODEL_KEYS, "model file")
-    family = doc["family"]
+    family = _field(doc, "family", str, "model file")
     J, M, n = (_field(doc, key, int, "model file") for key in ("J", "M", "n"))
     z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
-    if z.shape != (J, M):
-        raise InvalidInputError(f"z has shape {z.shape}, expected ({J}, {M})")
-    if family == "logit":
-        if nu.shape != (n, M):
-            raise InvalidInputError(f"nu has shape {nu.shape}, expected ({n}, {M})")
-        return LogitMarket(z=z, nu=nu, beta=beta)
-    if family == "purechar":
-        if nu.shape != (n, M - 1):
-            raise InvalidInputError(f"nu has shape {nu.shape}, expected ({n}, {M - 1})")
-        return PureCharMarket(z=z, nu_rest=nu, beta=beta)
-    raise InvalidInputError(f"unknown model family {family!r}")
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown model family {family!r}")
+    fam = FAMILIES[family]
+    market = fam.market(**{"z": z, fam.draws: nu, "beta": beta})
+    shape = (market.J, market.M, market.n)
+    if shape != (J, M, n):
+        raise InvalidInputError(f"arrays have shape (J, M, n) = {shape}, expected {(J, M, n)}")
+    return market
 
 
 def save_model(path, market, seed=None) -> None:

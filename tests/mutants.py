@@ -42,6 +42,8 @@ LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_an
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
+MISTYPED_MODEL = "tests/test_cli.py::TestInvert::test_mistyped_model_field_is_usage_error"
+MODEL_FILES = "tests/test_modelio.py::TestModelFiles"
 LOGIT_BUILD = "tests/test_logit.py::TestInstanceConstruction"
 PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
 SCRATCH = "tests/test_purechar.py::TestScratch"
@@ -384,6 +386,27 @@ MUTANTS = [
         "return kind(value)",
         "return value",
         ["tests/test_modelio.py::TestSpecFiles::test_integer_numbers_read_as_floats"],
+    ),
+    (
+        "pure-characteristics draws read from a field named nu",
+        "harness.py",
+        'Family(PureCharMarket, "nu_rest", make_purechar_instance, 2)',
+        'Family(PureCharMarket, "nu", make_purechar_instance, 2)',
+        [f"{MODEL_FILES}::test_shape_mismatch_rejected", f"{MODEL_FILES}::test_saved_bytes_pinned"],
+    ),
+    (
+        "pure-characteristics spec allowed one attribute",
+        "harness.py",
+        "make_purechar_instance, 2)",
+        "make_purechar_instance, 1)",
+        ["tests/test_harness.py::TestExperimentSpec::test_purechar_needs_two_attributes"],
+    ),
+    (
+        "model file family looked up without the string check",
+        "modelio.py",
+        'family = _field(doc, "family", str, "model file")',
+        'family = doc["family"]',
+        [f"{MISTYPED_MODEL}[family_list]"],
     ),
     (
         "floor without the relative term",

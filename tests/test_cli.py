@@ -288,8 +288,9 @@ class TestInvert:
             ("J", "x", "an integer, got 'x'"),
             ("z", [["a"], ["b"], ["c"]], "a rectangular array of numbers"),
             ("z", [[0.1, 0.2], [0.3], [0.4, 0.5]], "a rectangular array of numbers"),
+            ("family", ["logit"], "a string, got ['logit']"),
         ],
-        ids=["J_string", "z_strings", "z_ragged"],
+        ids=["J_string", "z_strings", "z_ragged", "family_list"],
     )
     def test_mistyped_model_field_is_usage_error(self, tmp_path, capsys, key, value, expected):
         model_path = generate(tmp_path)

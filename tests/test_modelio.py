@@ -1,6 +1,7 @@
 """Serialization: model/truth/spec JSON files, trace CSVs, and run artifacts.
 Floats travel as shortest round-trip decimal text, so reloads are bit-exact."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -22,6 +23,16 @@ SHIPPED_SPEC_SHA256 = {
     "purechar_paper.json": "097a4446de2a98d5e277d5ed258450d33dbd51034ecf0ecb2a85a2dbf1573c8f",
 }
 
+# sha256 of the bytes save_model writes for make_<family>_instance(3, 2, 4, seed=5),
+# without and with the seed key; model files are read back by every later version,
+# so they must not drift.
+SAVED_MODEL_SHA256 = {
+    ("logit", None): "d5ca8ab9a570348760f8be8e1387df70ca174cbe8fff6d1dc28229744e8770c2",
+    ("logit", 5): "e917a5b02f4759403fccf47b47d9522cb319a24b0c34d85350f56b79d273038a",
+    ("purechar", None): "6c0e89e0eb9ccbd051928dbb29d6215aff266669b5632c3bc0834861a85a9e29",
+    ("purechar", 5): "bb8df60e0b8fd03185d8ab849509683cf6c64fed0bcc8d387068a859877d5a5d",
+}
+
 
 @pytest.fixture()
 def logit_triple():
@@ -31,6 +42,20 @@ def logit_triple():
 @pytest.fixture()
 def purechar_triple():
     return di.make_purechar_instance(4, 3, 25, seed=11)
+
+
+class WrappedMarket(di.DemandModel):
+    """A market behind a DemandModel class that no model family names."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def J(self):
+        return self.inner.J
+
+    def evaluate(self, x, want_jacobian=False):
+        return self.inner.evaluate(x, want_jacobian)
 
 
 class TestModelFiles:
@@ -78,12 +103,26 @@ class TestModelFiles:
         with pytest.raises(di.InvalidInputError, match="missing keys"):
             modelio.load_model(path)
 
-    def test_shape_mismatch_rejected(self, tmp_path, logit_triple):
-        market, _, _ = logit_triple
+    @pytest.mark.parametrize("key", ["J", "M", "n"])
+    @pytest.mark.parametrize("family", ["logit", "purechar"])
+    def test_shape_mismatch_rejected(self, family, key, logit_triple, purechar_triple):
+        market, _, _ = logit_triple if family == "logit" else purechar_triple
         doc = modelio.model_to_dict(market)
-        doc["J"] = market.J + 1
+        doc[key] += 1
         with pytest.raises(di.InvalidInputError, match="shape"):
             modelio.market_from_dict(doc)
+
+    @pytest.mark.parametrize("family, seed", list(SAVED_MODEL_SHA256))
+    def test_saved_bytes_pinned(self, tmp_path, family, seed):
+        make = di.make_logit_instance if family == "logit" else di.make_purechar_instance
+        market, _, _ = make(3, 2, 4, seed=5)
+        path = tmp_path / "model.json"
+        modelio.save_model(path, market, seed=seed)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_MODEL_SHA256[(family, seed)]
+
+    def test_model_of_no_family_not_serialized(self, logit_triple):
+        with pytest.raises(di.InvalidInputError, match="cannot serialize .* WrappedMarket"):
+            modelio.model_to_dict(WrappedMarket(logit_triple[0]))
 
     def test_unknown_family_rejected(self, logit_triple):
         market, _, _ = logit_triple

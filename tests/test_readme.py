@@ -1,10 +1,12 @@
 """README.md's "Library quick start" block runs against the current API, so a
-public name removed from the package cannot linger in the docs, and its
-`simulate` section names the current trace.csv columns and artifact version."""
+public name removed from the package cannot linger in the docs, its `simulate`
+section names the current trace.csv columns and artifact version, and it lists
+the model families of `harness.FAMILIES`."""
 
 import re
 from pathlib import Path
 
+from demandinv.harness import FAMILIES
 from demandinv.modelio import ARTIFACT_VERSION, TRACE_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +35,11 @@ def test_simulate_section_lists_trace_columns():
 
 def test_simulate_section_names_artifact_version():
     assert f"(artifact version {ARTIFACT_VERSION})" in simulate_section()
+
+
+def test_family_lists_match_families():
+    text = README.read_text(encoding="utf-8")
+    lists = re.findall(r"in\s+`harness\.FAMILIES`: ((?:`\w+`(?:, |,?\s+or\s+)?)+)", text)
+    assert len(lists) == 2  # the model file and the spec file
+    for listed in lists:
+        assert tuple(re.findall(r"`(\w+)`", listed)) == tuple(FAMILIES)
