@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    market, x_star, sigma_star = FAMILIES[args.family].make(args.J, args.M, args.n, args.seed)
+    market, x_star, sigma_star = FAMILIES[args.family].draw(args.J, args.M, args.n, args.seed)
     out = Path(args.out)
     truth = truth_path_for(out)
     save_model(out, market, seed=args.seed)

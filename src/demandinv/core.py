@@ -156,3 +156,68 @@ class DemandModel(abc.ABC):
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Evaluate welfare and shares (and the Jacobian if requested) at x."""
 
+
+class SyntheticMarket(DemandModel):
+    """A synthetic market of J products with M attributes and n consumers.
+
+    A family fixes its first FIXED taste coefficients at 1 and integrates
+    them in its evaluator, so it simulates draws only for the other M - FIXED.
+    Its dataclass fields are z (J, M), the draws (n, M - FIXED) in the field
+    named DRAWS, and beta (M,) with beta[:FIXED] == 1, in that order.
+    """
+
+    FIXED: int
+    DRAWS: str
+
+    def _freeze_arrays(self):
+        """Freeze and check z, the draws and beta in place; return (z, draws)."""
+        fixed, name = self.FIXED, self.DRAWS
+        z = set_frozen_array(self, "z", self.z)
+        if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] <= fixed:
+            raise InvalidInputError(
+                f"z must be a (J, M) matrix with J >= 1, M >= {fixed + 1}, got {z.shape}"
+            )
+        free = z.shape[1] - fixed
+        draws = set_frozen_array(self, name, getattr(self, name))
+        if draws.ndim != 2 or draws.shape[0] < 1 or draws.shape[1] != free:
+            raise InvalidInputError(f"{name} must be (n, {free}) with n >= 1, got {draws.shape}")
+        beta = set_frozen_array(self, "beta", self.beta, shape=z.shape[1:])
+        if (beta[:fixed] != 1.0).any():
+            raise InvalidInputError(f"beta[:{fixed}] must be all 1, got {beta[:fixed].tolist()}")
+        return z, draws
+
+    @property
+    def J(self) -> int:
+        return self.z.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.z.shape[1]
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self.DRAWS).shape[0]
+
+    @classmethod
+    def draw(cls, J: int, M: int, n: int, seed):
+        """Draw a synthetic market together with its true utilities and shares.
+
+        beta = (1,) * FIXED followed by Uniform[0,1]^(M - FIXED), z_j ~ N(0, I_M)
+        and the draws ~ N(0, I_(M - FIXED)), each from its own child of the
+        seeded stream so that, e.g., changing n leaves z untouched.
+        x* = z beta and sigma* = shares at x*; degenerate instances (some share
+        numerically zero) are kept.
+
+        Returns:
+            (market, x_star, sigma_star)
+        """
+        check_market_size(J, M, n, min_M=cls.FIXED + 1)
+        ss_beta, ss_z, ss_draws = as_seed_sequence(seed).spawn(3)
+        beta = np.random.Generator(np.random.Philox(ss_beta)).random(M - cls.FIXED)
+        beta = np.concatenate([np.ones(cls.FIXED), beta])
+        z = np.random.Generator(np.random.Philox(ss_z)).standard_normal((J, M))
+        draws = np.random.Generator(np.random.Philox(ss_draws)).standard_normal((n, M - cls.FIXED))
+        market = cls(z, draws, beta)
+        x_star = z @ beta
+        return market, x_star, market.evaluate(x_star).shares
+

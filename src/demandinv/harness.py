@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -13,22 +12,16 @@ from itertools import repeat
 import numpy as np
 
 from .core import InvalidInputError, as_mean_utility, as_seed_sequence, check_market_size
-from .logit import LogitMarket, make_logit_instance
-from .purechar import PureCharMarket, make_purechar_instance
+from .logit import LogitMarket
+from .purechar import PureCharMarket
 from .solvers import METHODS, InversionResult, SolverConfig, invert
 
 # Worker processes for replication-level parallelism; defaults to all cores.
 # Results are folded in replication order, so the setting never changes output.
 WORKERS_ENV = "DEMANDINV_WORKERS"
 
-# The model families a spec or model file may name, each with its market class,
-# the class's draws field (written as "nu" in model files), its seeded instance
-# maker and its smallest attribute count M.
-Family = namedtuple("Family", "market draws make min_M")
-FAMILIES = {
-    "logit": Family(LogitMarket, "nu", make_logit_instance, 1),
-    "purechar": Family(PureCharMarket, "nu_rest", make_purechar_instance, 2),
-}
+# The model families a spec or model file may name, each with its market class.
+FAMILIES = {"logit": LogitMarket, "purechar": PureCharMarket}
 
 # A target coordinate (inside or outside share) below this counts as degenerate.
 DEGENERACY_THRESHOLD = 1e-14
@@ -51,7 +44,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model_family not in FAMILIES:
             raise InvalidInputError(f"unknown model family {self.model_family!r}")
-        check_market_size(self.J, self.M, self.n, min_M=FAMILIES[self.model_family].min_M)
+        check_market_size(self.J, self.M, self.n, min_M=FAMILIES[self.model_family].FIXED + 1)
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
         if not 0 <= self.delta_norm < math.inf:
@@ -139,8 +132,9 @@ def _run_replication(spec: ExperimentSpec, replication: int):
     """Worker: build the seeded instance, run every method from one shared start."""
     instance_seed = np.random.SeedSequence([spec.master_seed, replication, 0])
     start_seed = np.random.SeedSequence([spec.master_seed, replication, 1])
-    make = FAMILIES[spec.model_family].make
-    market, x_star, sigma_star = make(spec.J, spec.M, spec.n, instance_seed)
+    market, x_star, sigma_star = FAMILIES[spec.model_family].draw(
+        spec.J, spec.M, spec.n, instance_seed
+    )
     x0 = perturb_start(x_star, spec.delta_norm, start_seed)
     outcomes = {}
     for method in spec.methods:

@@ -111,7 +111,7 @@ def _from_doc(cls, doc, what: str):
 
 
 def model_to_dict(market, seed=None) -> dict:
-    family = next((name for name, fam in FAMILIES.items() if isinstance(market, fam.market)), None)
+    family = next((name for name, cls in FAMILIES.items() if isinstance(market, cls)), None)
     if family is None:
         raise InvalidInputError(f"cannot serialize model of type {type(market).__name__}")
     doc = {
@@ -121,7 +121,7 @@ def model_to_dict(market, seed=None) -> dict:
         "n": market.n,
         "beta": market.beta.tolist(),
         "z": market.z.tolist(),
-        "nu": getattr(market, FAMILIES[family].draws).tolist(),
+        "nu": getattr(market, market.DRAWS).tolist(),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -138,8 +138,7 @@ def market_from_dict(doc):
     z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown model family {family!r}")
-    fam = FAMILIES[family]
-    market = fam.market(**{"z": z, fam.draws: nu, "beta": beta})
+    market = FAMILIES[family](z, nu, beta)
     shape = (market.J, market.M, market.n)
     if shape != (J, M, n):
         raise InvalidInputError(f"arrays have shape (J, M, n) = {shape}, expected {(J, M, n)}")

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DemandModel,
     InvalidInputError,
     ModelEvaluation,
+    SyntheticMarket,
     as_mean_utility,
-    as_seed_sequence,
-    check_market_size,
     frozen_product,
-    set_frozen_array,
 )
 
 # Owner sentinel for the outside option's zero line.
@@ -151,7 +148,7 @@ def upper_envelope(lines, include_zero_line: bool = True) -> list[EnvelopeSegmen
 
 
 @dataclass(frozen=True, eq=False)
-class PureCharMarket(DemandModel):
+class PureCharMarket(SyntheticMarket):
     """One synthetic pure-characteristics market.
 
     Attributes:
@@ -162,21 +159,15 @@ class PureCharMarket(DemandModel):
             used only to construct true utilities.
     """
 
+    FIXED = 1
+    DRAWS = "nu_rest"
+
     z: np.ndarray
     nu_rest: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        z = set_frozen_array(self, "z", self.z)
-        if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
-            raise InvalidInputError(f"z must be a (J, M) matrix with J >= 1, M >= 2, got {z.shape}")
-        J, M = z.shape
-        nu = set_frozen_array(self, "nu_rest", self.nu_rest)
-        if nu.ndim != 2 or nu.shape[0] < 1 or nu.shape[1] != M - 1:
-            raise InvalidInputError(f"nu_rest must be (n, {M - 1}) with n >= 1, got {nu.shape}")
-        beta = set_frozen_array(self, "beta", self.beta, shape=(M,))
-        if beta[0] != 1.0:
-            raise InvalidInputError(f"beta[0] must be exactly 1, got {beta[0]!r}")
+        z, nu = self._freeze_arrays()
         # The K = J+1 lines (products, then the zero line) in one stable slope
         # order: equal slopes keep index order, the zero line last. + 0.0 turns
         # -0.0 into 0.0, so equal slopes subtract to +0.0. `_lines` caches their
@@ -196,19 +187,7 @@ class PureCharMarket(DemandModel):
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_slopes", bs)
         object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_gaps", [gaps[c, :c, None] for c in range(1, J + 1)])
-
-    @property
-    def J(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.z.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.nu_rest.shape[0]
+        object.__setattr__(self, "_gaps", [gaps[c, :c, None] for c in range(1, len(bs))])
 
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Shares, welfare and optionally the Jacobian via the interval formulation.
@@ -229,7 +208,7 @@ class PureCharMarket(DemandModel):
         """
         J = self.J
         K = J + 1
-        n = self.n
+        n = self._lines.shape[1]
         order = self._order
         bs = self._slopes
         scratch = getattr(_LOCAL, "scratch", None)
@@ -300,24 +279,4 @@ class PureCharMarket(DemandModel):
         return ModelEvaluation(welfare, widths[:J] / n, jac)
 
 
-def make_purechar_instance(J: int, M: int, n: int, seed):
-    """Draw a synthetic pure-characteristics market with its true utilities and shares.
-
-    beta = (1, beta_rest) with beta_rest ~ Uniform[0,1]^(M-1), z_j ~ N(0, I_M),
-    nu_i ~ N(0, I_(M-1)), each from its own child of the seeded stream.
-    x* = z beta and sigma* = shares at x*; degenerate instances (some share
-    numerically zero) are expected and kept.
-
-    Returns:
-        (market, x_star, sigma_star)
-    """
-    check_market_size(J, M, n, min_M=2)
-    root = as_seed_sequence(seed)
-    ss_beta, ss_z, ss_nu = root.spawn(3)
-    beta = np.concatenate([[1.0], np.random.Generator(np.random.Philox(ss_beta)).random(M - 1)])
-    z = np.random.Generator(np.random.Philox(ss_z)).standard_normal((J, M))
-    nu_rest = np.random.Generator(np.random.Philox(ss_nu)).standard_normal((n, M - 1))
-    market = PureCharMarket(z=z, nu_rest=nu_rest, beta=beta)
-    x_star = z @ beta
-    sigma_star = market.evaluate(x_star).shares
-    return market, x_star, sigma_star
+make_purechar_instance = PureCharMarket.draw

@@ -49,6 +49,7 @@ PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
 SCRATCH = "tests/test_purechar.py::TestScratch"
 SAME_SHAPE = f"{SCRATCH}::test_other_markets_between_calls_change_nothing"
 VALIDATORS = "tests/test_core.py::TestValidators"
+SYNTHETIC = "tests/test_core.py::TestSyntheticMarket"
 NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
@@ -203,8 +204,8 @@ MUTANTS = [
     (
         "logit shift not added back to the log-sum",
         "logit.py",
-        "float((shift + np.log(denom)).sum() / self.n)",
-        "float(np.log(denom).sum() / self.n)",
+        "float((shift + np.log(denom)).sum() / n)",
+        "float(np.log(denom).sum() / n)",
         [LOGIT_PROPERTY],
     ),
     (
@@ -389,17 +390,31 @@ MUTANTS = [
     ),
     (
         "pure-characteristics draws read from a field named nu",
-        "harness.py",
-        'Family(PureCharMarket, "nu_rest", make_purechar_instance, 2)',
-        'Family(PureCharMarket, "nu", make_purechar_instance, 2)',
+        "purechar.py",
+        'DRAWS = "nu_rest"',
+        'DRAWS = "nu"',
         [f"{MODEL_FILES}::test_shape_mismatch_rejected", f"{MODEL_FILES}::test_saved_bytes_pinned"],
     ),
     (
         "pure-characteristics spec allowed one attribute",
         "harness.py",
-        "make_purechar_instance, 2)",
-        "make_purechar_instance, 1)",
+        "FAMILIES[self.model_family].FIXED + 1",
+        "1",
         ["tests/test_harness.py::TestExperimentSpec::test_purechar_needs_two_attributes"],
+    ),
+    (
+        "maker drops the first of M draws in place of drawing M - FIXED",
+        "core.py",
+        "random(M - cls.FIXED)",
+        "random(M)[cls.FIXED :]",
+        [f"{MODEL_FILES}::test_saved_bytes_pinned[purechar-None]"],
+    ),
+    (
+        "fixed taste coefficients not checked",
+        "core.py",
+        "if (beta[:fixed] != 1.0).any():",
+        "if False:",
+        [f"{SYNTHETIC}::test_invalid_market_rejected[purechar-fixed_beta_not_one]"],
     ),
     (
         "model file family looked up without the string check",

@@ -1,11 +1,13 @@
-"""Evaluator contract: validators, objective anchors, and the shared
-gradient/convexity/monotonicity properties both model families must satisfy."""
+"""Evaluator contract: validators, the market checks both families share, objective
+anchors, and the gradient/convexity/monotonicity properties both model families
+must satisfy."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import demandinv as di
+from demandinv.harness import FAMILIES
 from oracles import finite_difference_gradient
 
 
@@ -86,6 +88,54 @@ class TestValidators:
         jac = np.array([[0.25, 0.0], [0.0, np.nan]])
         with pytest.raises(di.InvalidInputError, match="jacobian must be a finite 2x2"):
             di.ModelEvaluation(1.0, np.array([0.5, 0.25]), jac)
+
+
+# Invalid markets of a family whose first f taste coefficients are fixed, each with
+# the name its error message must start with ("draws" stands for the family's
+# draws field); arrays are ones, or zeros for the draws, unless a case is about them.
+INVALID_MARKETS = {
+    "z_not_2d": ("z", lambda cls, f: cls(np.ones(3), np.zeros((3, 1)), np.ones(f + 1))),
+    "too_few_attributes": ("z", lambda cls, f: cls(np.ones((2, f)), np.zeros((3, 0)), np.ones(f))),
+    "draws_width": (
+        "draws",
+        lambda cls, f: cls(np.ones((2, f + 2)), np.zeros((3, 1)), np.ones(f + 2)),
+    ),
+    "no_consumers": (
+        "draws",
+        lambda cls, f: cls(np.ones((2, f + 1)), np.zeros((0, 1)), np.ones(f + 1)),
+    ),
+    "beta_shape": (
+        "beta",
+        lambda cls, f: cls(np.ones((2, f + 1)), np.zeros((3, 1)), np.ones(f + 2)),
+    ),
+    "z_nonfinite": (
+        "z",
+        lambda cls, f: cls(np.full((2, f + 1), np.nan), np.zeros((3, 1)), np.ones(f + 1)),
+    ),
+    "fixed_beta_not_one": (
+        "beta",
+        lambda cls, f: cls(np.ones((2, f + 1)), np.zeros((3, 1)), np.append(2.0, np.ones(f))),
+    ),
+    "no_products_drawn": ("need J", lambda cls, f: cls.draw(0, f + 1, 10, seed=1)),
+}
+
+
+class TestSyntheticMarket:
+    @pytest.mark.parametrize(
+        "family, case",
+        [
+            (family, case)
+            for family, cls in FAMILIES.items()
+            for case in INVALID_MARKETS
+            if cls.FIXED or case != "fixed_beta_not_one"
+        ],
+    )
+    def test_invalid_market_rejected(self, family, case):
+        cls = FAMILIES[family]
+        name, build = INVALID_MARKETS[case]
+        name = cls.DRAWS if name == "draws" else name
+        with pytest.raises(di.InvalidInputError, match=rf"^{name}\b"):
+            build(cls, cls.FIXED)
 
 
 class TestConvexObjective:

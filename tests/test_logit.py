@@ -247,14 +247,6 @@ class TestInstanceConstruction:
         b = di.make_logit_instance(3, 2, 10, seed=np.random.SeedSequence([5, 2, 0]))[0]
         assert np.array_equal(a.z, b.z)
 
-    def test_validation(self):
-        with pytest.raises(di.InvalidInputError):
-            di.make_logit_instance(0, 2, 10, seed=1)
-        with pytest.raises(di.InvalidInputError):
-            di.LogitMarket(z=np.zeros((2, 2)), nu=np.zeros((3, 1)), beta=np.zeros(2))
-        with pytest.raises(di.InvalidInputError):
-            di.LogitMarket(z=np.full((2, 2), np.nan), nu=np.zeros((3, 2)), beta=np.zeros(2))
-
     @pytest.mark.parametrize(
         "z, nu",
         [([[1e200], [1.0]], [[1e200], [1.0]]), ([[1e200]], [[-1e200], [1.0]])],

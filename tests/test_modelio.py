@@ -33,6 +33,13 @@ SAVED_MODEL_SHA256 = {
     ("purechar", 5): "bb8df60e0b8fd03185d8ab849509683cf6c64fed0bcc8d387068a859877d5a5d",
 }
 
+# sha256 of the bytes save_truth writes for the x* = z beta and sigma* of the same
+# instances; together with the model files they pin everything a maker returns.
+SAVED_TRUTH_SHA256 = {
+    "logit": "f61937e0347be7ca784846ec20e2fe66c35a2e6cbc297b1a99e516ad4f40a210",
+    "purechar": "ce9d4aeca2df98c347ad7097b479d11edd6a2b9d4f9436f7f9fd67eab17d6e1a",
+}
+
 
 @pytest.fixture()
 def logit_triple():
@@ -148,6 +155,13 @@ class TestTruthAndShares:
         x_back, s_back = modelio.load_truth(truth_path)
         assert np.array_equal(x_back, x_star)
         assert np.array_equal(s_back, sigma_star)
+
+    @pytest.mark.parametrize("family", list(SAVED_TRUTH_SHA256))
+    def test_saved_truth_bytes_pinned(self, tmp_path, family):
+        _, x_star, sigma_star = getattr(di, f"make_{family}_instance")(3, 2, 4, seed=5)
+        path = tmp_path / "model.truth.json"
+        modelio.save_truth(path, x_star, sigma_star)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_TRUTH_SHA256[family]
 
     def test_load_shares_accepts_three_layouts(self, tmp_path):
         values = [0.2, 0.3, 0.1]

@@ -521,22 +521,6 @@ class TestInstanceConstruction:
         with pytest.raises(di.InvalidInputError):
             di.make_purechar_instance(3, 2, 0, seed=0)
 
-    def test_market_validation(self):
-        with pytest.raises(di.InvalidInputError):
-            di.PureCharMarket(z=np.zeros((2, 1)), nu_rest=np.zeros((3, 0)), beta=np.ones(1))
-        with pytest.raises(di.InvalidInputError):
-            # normalization broken
-            di.PureCharMarket(
-                z=np.ones((2, 2)), nu_rest=np.zeros((3, 1)), beta=np.array([2.0, 1.0])
-            )
-        with pytest.raises(di.InvalidInputError):
-            di.PureCharMarket(
-                z=np.full((2, 2), np.nan), nu_rest=np.zeros((3, 1)), beta=np.ones(2)
-            )
-        with pytest.raises(di.InvalidInputError):
-            # taste draws must match M - 1 columns
-            di.PureCharMarket(z=np.ones((2, 3)), nu_rest=np.zeros((3, 1)), beta=np.ones(3))
-
     def test_overflowing_intercepts_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,5 @@
-"""Bitwise parity of LogitMarket.evaluate and PureCharMarket.evaluate between
-two source trees.
+"""Bitwise parity of LogitMarket.evaluate and PureCharMarket.evaluate, and of
+the instance makers, between two source trees.
 
 Draws seeded random logit markets (J 1-15, M 1-5, n 1-399) and random
 pure-characteristics markets of five kinds (generic normal slopes, slopes
@@ -10,13 +10,17 @@ tree, and compares shares, welfare and Jacobian byte for byte. Each
 pure-characteristics evaluation is then repeated after evaluating a twin
 market of the same shape (products and consumers in reverse order), so that
 working arrays carried over from one call to the next show as differences.
-Each tree is imported in its own subprocess. Run it as
+The maker pass calls make_logit_instance and make_purechar_instance on seeded
+sizes (J 1-15, M from the family's smallest to 5, n 1-399), with integer and
+SeedSequence seeds in turn, and compares z, the draws, beta, x* and sigma*
+byte for byte. Each tree is imported in its own subprocess. Run it as
 
     python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120]
 
 where OLD_SRC and NEW_SRC are directories holding a `demandinv` package and
---per-kind is the number of markets of each kind (logit is one kind). It
-prints one line per family and exits 1 when any evaluation differs.
+--per-kind is the number of markets of each kind (logit is one kind) and of
+made instances per family. It prints one line per family and pass and exits 1
+when any evaluation or made instance differs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import subprocess
 import sys
 
 KINDS = ("generic", "grid", "ulp", "coincident", "signed_zero")
+# Each family's smallest attribute count M and its draws field.
+MAKERS = {"logit": (1, "nu"), "purechar": (2, "nu_rest")}
 
 
 def draw_logit(rng):
@@ -71,6 +77,25 @@ def draw_purechar(kind: str, rng):
     return PureCharMarket(z=z, nu_rest=nu_rest, beta=beta), z @ beta
 
 
+def made(family: str, rng, k: int) -> tuple:
+    """The bytes of make_<family>_instance's output at a random size, with an
+    integer seed for even k and a SeedSequence for odd k, or its exception."""
+    import numpy as np
+
+    import demandinv
+
+    min_M, draws = MAKERS[family]
+    J, M, n = int(rng.integers(1, 16)), int(rng.integers(min_M, 6)), int(rng.integers(1, 400))
+    seed = int(rng.integers(2**32))
+    seed = np.random.SeedSequence([seed, k]) if k % 2 else seed
+    try:
+        market, x_star, sigma_star = getattr(demandinv, f"make_{family}_instance")(J, M, n, seed)
+    except Exception as exc:  # a raising maker is an output too
+        return type(exc).__name__, str(exc)
+    arrays = (market.z, getattr(market, draws), market.beta, x_star, sigma_star)
+    return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
 def record(market, x, want: bool) -> tuple:
     """One evaluation's (welfare, shares, jacobian) bytes, or its exception."""
     import numpy as np
@@ -90,6 +115,9 @@ def dump(per_kind: int) -> dict:
     from demandinv import PureCharMarket
 
     out = {"purechar": [], "logit": []}
+    for f, family in enumerate(MAKERS):
+        rng = np.random.default_rng([f, 2025])
+        out[f"{family} maker"] = [made(family, rng, k) for k in range(per_kind)]
     for k, kind in enumerate(KINDS + ("logit",)):
         family = "logit" if kind == "logit" else "purechar"
         rng = np.random.default_rng([k, 2024])
@@ -133,6 +161,11 @@ def main() -> int:
         differ = sum(x != y for x, y in zip(a, b))
         markets = kinds * args.per_kind
         print(f"{family}: {markets} markets, {len(a)} evaluations, {differ} differ bitwise")
+        bad |= differ > 0 or len(a) != len(b)
+    for family in MAKERS:
+        a, b = old[f"{family} maker"], new[f"{family} maker"]
+        differ = sum(x != y for x, y in zip(a, b))
+        print(f"{family} maker: {len(a)} instances, {differ} differ bitwise")
         bad |= differ > 0 or len(a) != len(b)
     return 1 if bad else 0
 
