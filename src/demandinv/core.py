@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,38 +112,60 @@ def frozen_product(a, b, name: str) -> np.ndarray:
     return product
 
 
-@dataclass(frozen=True, eq=False)
+def _finite_welfare(welfare):
+    if not math.isfinite(welfare):
+        raise InvalidInputError("welfare must be finite")
+    return welfare
+
+
 class ModelEvaluation:
     """Welfare, shares, and optionally the share Jacobian at one utility point.
 
     The Jacobian, when present, is the Hessian of the (convex) welfare
     function, so it is symmetric positive semidefinite up to round-off.
+    `welfare` is the value, or a zero-argument function run once, on the first
+    read of `.welfare`, with numpy's overflow warning off; it must not read
+    memory that a later evaluation overwrites. A non-finite welfare raises
+    InvalidInputError here or on that read. Instances are read-only.
     """
 
-    welfare: float
-    shares: np.ndarray
-    jacobian: np.ndarray | None = None
+    __slots__ = ("_welfare", "shares", "jacobian")
 
-    def __post_init__(self):
-        if not math.isfinite(self.welfare):
-            raise InvalidInputError("welfare must be finite")
-        shares = np.asarray(self.shares, dtype=float)
+    def __init__(self, welfare, shares, jacobian=None):
+        if not callable(welfare):
+            welfare = _finite_welfare(welfare)
+        shares = np.asarray(shares, dtype=float)
         if shares.ndim != 1 or not np.isfinite(shares).all():
             raise InvalidInputError("shares must be a finite vector")
-        object.__setattr__(self, "shares", shares)
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian, dtype=float)
+        if jacobian is not None:
+            jacobian = np.asarray(jacobian, dtype=float)
             J = shares.shape[0]
-            if jac.shape != (J, J) or not np.isfinite(jac).all():
+            if jacobian.shape != (J, J) or not np.isfinite(jacobian).all():
                 raise InvalidInputError(f"jacobian must be a finite {J}x{J} matrix")
-            object.__setattr__(self, "jacobian", jac)
+        object.__setattr__(self, "_welfare", welfare)
+        object.__setattr__(self, "shares", shares)
+        object.__setattr__(self, "jacobian", jacobian)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelEvaluation is read-only: cannot set {name!r}")
+
+    @property
+    def welfare(self) -> float:
+        welfare = self._welfare
+        if callable(welfare):
+            with np.errstate(over="ignore"):
+                welfare = _finite_welfare(welfare())
+            object.__setattr__(self, "_welfare", welfare)
+        return welfare
 
 
 class DemandModel(abc.ABC):
     """A demand system that reports average welfare, shares, and the share Jacobian.
 
     Implementations are immutable after construction; `evaluate` must be
-    deterministic and safe to call concurrently.
+    deterministic and safe to call concurrently. It may defer the welfare to
+    its first read (see ModelEvaluation), which must then not depend on state
+    that a later `evaluate` overwrites.
     """
 
     @property

@@ -48,7 +48,10 @@ class LogitMarket(SyntheticMarket):
         np.exp(v, out=v)
         outside = np.exp(-shift)
         denom = outside + v.sum(axis=0)
-        welfare = float((shift + np.log(denom)).sum() / n) + EULER_GAMMA
+
+        def welfare():  # on first read; shift and denom are never written again
+            return float((shift + np.log(denom)).sum() / n) + EULER_GAMMA
+
         v /= denom  # (J, n) per-consumer choice probabilities
         shares = v.sum(axis=1) / n
         jac = None

@@ -8,7 +8,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -221,15 +220,18 @@ def spec_sha256(spec: ExperimentSpec) -> str:
 def write_trace_csv(path, results: dict) -> None:
     """Long-form raw traces, one row per accepted iterate, sorted by
     (method, replication_id, iteration). `evaluations` counts the model
-    evaluations made up to each iterate's acceptance."""
+    evaluations made up to each iterate's acceptance. No field needs CSV
+    quoting, so the rows are formatted directly, one write per run, which
+    keeps no more than one run's rows in memory."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for method, replication in sorted(results):
             res: InversionResult = results[(method, replication)]
-            rows = zip(res.error_trace.tolist(), res.eval_trace.tolist())
-            for k, (error, evals) in enumerate(rows):
-                writer.writerow([replication, method, k, repr(error), evals])
+            pairs = enumerate(zip(res.error_trace.tolist(), res.eval_trace.tolist()))
+            rows = [
+                f"{replication},{method},{k},{error!r},{evals}\n" for k, (error, evals) in pairs
+            ]
+            fh.write("".join(rows))
 
 
 def bands_to_dict(bands: dict[str, MethodBand]) -> dict:

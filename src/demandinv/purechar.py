@@ -219,7 +219,8 @@ class PureCharMarket(SyntheticMarket):
 
         # The crossing of lines p < c bounds c from the left and p from the
         # right. A, L and R are (K, n), so the loop works on contiguous rows.
-        np.add(self._lines, np.append(as_mean_utility(x, J), 0.0)[order, None], out=A)
+        xo = np.append(as_mean_utility(x, J), 0.0)[order]  # x in line order, outside 0
+        np.add(self._lines, xo[:, None], out=A)
         L.fill(-np.inf)
         R.fill(np.inf)
         # Slopes a subnormal apart overflow to an infinite crossing, and equal
@@ -263,7 +264,10 @@ class PureCharMarket(SyntheticMarket):
         pdf = _phi(t[1:-1])
         b = bs[cs]
         db = b[1:] - b[:-1]
-        welfare = float(np.sum(A.ravel()[at] * mass) + np.sum(pdf * db)) / n
+
+        def welfare():  # on first read, when A may hold a later call's intercepts
+            a = self._lines.ravel()[at] + xo[cs]  # A's add again, so A's bits
+            return float(np.sum(a * mass) + np.sum(pdf * db)) / n
 
         jac = None
         if want_jacobian:

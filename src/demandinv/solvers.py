@@ -288,9 +288,9 @@ def invert(model: DemandModel, sigma_star, method: str, x0=None, cfg: SolverConf
             "unsupported target for contraction: every share must be > 0 with sum < 1"
         )
     x = np.zeros(model.J) if x0 is None else np.array(as_mean_utility(x0, model.J))
-    # An overflowing welfare fails in ModelEvaluation, without numpy's warning.
-    with np.errstate(over="ignore"):
-        if method == "contraction":
-            return _contraction(model, target, x, cfg)
-        state = {"convex_tr": _convex_state, "residual_tr": _residual_state}[method]
-        return _trust_region(method, x, cfg, state(model, target))
+    # Only convex_tr reads the welfare; an overflowing one fails on that read,
+    # without numpy's warning, and nothing else here silences numpy.
+    if method == "contraction":
+        return _contraction(model, target, x, cfg)
+    state = {"convex_tr": _convex_state, "residual_tr": _residual_state}[method]
+    return _trust_region(method, x, cfg, state(model, target))

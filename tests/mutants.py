@@ -51,6 +51,8 @@ SAME_SHAPE = f"{SCRATCH}::test_other_markets_between_calls_change_nothing"
 VALIDATORS = "tests/test_core.py::TestValidators"
 SYNTHETIC = "tests/test_core.py::TestSyntheticMarket"
 NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
+WELFARE_READS = "tests/test_solvers.py::TestWelfareReads"
+DEFERRED = "tests/test_core.py::TestDeferredWelfare"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -144,6 +146,13 @@ MUTANTS = [
         "np.copysign(ndtr(s, out=s), t, out=s)",
         "np.copysign(1.0 - ndtr(-s), t, out=s)",
         [f"{CLOSED_FORMS}::test_tail_share_is_relatively_exact"],
+    ),
+    (
+        "deferred welfare reads the intercepts from the scratch",
+        "purechar.py",
+        "a = self._lines.ravel()[at] + xo[cs]",
+        "a = A.ravel()[at]",
+        [f"{DEFERRED}::test_read_after_same_shape_call_matches_fresh"],
     ),
     (
         "welfare drops the density term",
@@ -295,11 +304,11 @@ MUTANTS = [
         [PINNED],
     ),
     (
-        "welfare overflow warning printed before the error",
+        "residual_tr reads the welfare",
         "solvers.py",
-        'with np.errstate(over="ignore"):\n        if method',
-        "with np.errstate():\n        if method",
-        ["tests/test_cli.py::TestInvert::test_overflowing_welfare_is_one_line_usage_error"],
+        "        f = 0.5 * float(r @ r)\n",
+        "        f = 0.5 * float(r @ r) + 0.0 * ev.welfare\n",
+        [WELFARE_READS],
     ),
     (
         "Newton step divides by the unshifted eigenvalues",
@@ -333,6 +342,16 @@ MUTANTS = [
         ],
     ),
     (
+        "deferred welfare computed with numpy's overflow warning on",
+        "core.py",
+        'with np.errstate(over="ignore"):\n                welfare = _finite_welfare(welfare())',
+        "if True:\n                welfare = _finite_welfare(welfare())",
+        [
+            f"{DEFERRED}::test_overflowing_welfare_raises_on_read_without_warning",
+            "tests/test_cli.py::TestInvert::test_overflowing_welfare_is_one_line_usage_error",
+        ],
+    ),
+    (
         "mean-utility finiteness check dropped",
         "core.py",
         "if not np.isfinite(x).all():",
@@ -349,8 +368,8 @@ MUTANTS = [
     (
         "Jacobian finiteness dropped",
         "core.py",
-        "if jac.shape != (J, J) or not np.isfinite(jac).all():",
-        "if jac.shape != (J, J):",
+        "if jacobian.shape != (J, J) or not np.isfinite(jacobian).all():",
+        "if jacobian.shape != (J, J):",
         [f"{VALIDATORS}::test_model_evaluation_rejects_nan_jacobian_entry"],
     ),
     (

@@ -3,6 +3,7 @@ exercised in process through main(argv)."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,14 +331,16 @@ class TestInvert:
         err = capsys.readouterr().err
         assert err == "error: z[:, 0] slope range (zero line included) overflows a double\n"
 
-    @pytest.mark.parametrize("family", ["logit", "purechar"])
-    def test_overflowing_welfare_is_one_line_usage_error(self, tmp_path, capsys, family):
+    def invert_from_overflowing_start(self, tmp_path, capsys, family, method):
+        """invert's exit code from x0 = 1.79e308 on a generated model, with
+        every warning an error; capsys then holds invert's output alone."""
         model_path = generate(tmp_path, family=family)
         x0_path = tmp_path / "x0.json"
         modelio.write_json(x0_path, [1.79e308] * 3)
         capsys.readouterr()
-        for method in ("convex_tr", "residual_tr", "contraction"):
-            code = run_cli(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(
                 "invert",
                 "--model", model_path,
                 "--shares", "0.2,0.2,0.2",
@@ -345,8 +348,32 @@ class TestInvert:
                 "--x0", x0_path,
                 "--out", tmp_path / "r.json",
             )
-            assert code == EXIT_USAGE
-            assert capsys.readouterr().err == "error: welfare must be finite\n"
+
+    @pytest.mark.parametrize("family", ["logit", "purechar"])
+    def test_overflowing_welfare_is_one_line_usage_error(self, tmp_path, capsys, family):
+        # convex_tr reads the welfare, which overflows a double at this start
+        code = self.invert_from_overflowing_start(tmp_path, capsys, family, "convex_tr")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: welfare must be finite\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("method", ["contraction", "residual_tr"])
+    @pytest.mark.parametrize("family", ["logit", "purechar"])
+    def test_overflowing_start_is_valid_run_without_welfare(
+        self, tmp_path, capsys, family, method
+    ):
+        # the shares and the Jacobian stay finite at this start; only the
+        # welfare overflows, and these methods never read it
+        code = self.invert_from_overflowing_start(tmp_path, capsys, family, method)
+        assert code == EXIT_NO_CONVERGENCE
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.startswith(f"{method} did not converge: ")
+        assert sorted(p.name for p in tmp_path.glob("r.*")) == ["r.json", "r.trace.csv"]
+        doc = modelio.read_json(tmp_path / "r.json")
+        assert doc["method"] == method and doc["converged"] is False
+        assert len(doc["x_final"]) == 3 and all(map(math.isfinite, doc["x_final"]))
+        assert doc["eval_counts"]["welfare"] == 0
 
     def test_gibberish_inline_shares(self, tmp_path, capsys):
         model_path = generate(tmp_path)

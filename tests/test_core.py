@@ -2,6 +2,8 @@
 anchors, and the gradient/convexity/monotonicity properties both model families
 must satisfy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -69,6 +71,21 @@ class TestValidators:
             di.ModelEvaluation(1.0, np.array([0.5]), np.zeros((2, 2)))
         ev = di.ModelEvaluation(1.0, np.array([0.5]), np.array([[0.25]]))
         assert ev.jacobian.shape == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_deferred_nonfinite_welfare_raises_on_read(self, bad):
+        ev = di.ModelEvaluation(lambda: bad, np.array([0.5]))
+        for _ in range(2):
+            with pytest.raises(di.InvalidInputError, match="welfare must be finite"):
+                ev.welfare
+
+    def test_model_evaluation_read_only(self):
+        ev = di.ModelEvaluation(lambda: 1.0, np.array([0.5]))
+        with pytest.raises(AttributeError):
+            ev.welfare = 2.0
+        with pytest.raises(AttributeError):
+            ev.shares = np.array([0.25])
+        assert ev.welfare == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_model_evaluation_rejects_nonfinite_shares(self, bad):
@@ -255,3 +272,47 @@ class TestSharedModelProperties:
                 shares = model.evaluate(rng.normal(scale=3.0, size=model.J)).shares
                 assert np.all(shares >= 0.0)
                 assert shares.sum() <= 1.0 + 1e-14
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestDeferredWelfare:
+    def market(self, family):
+        market, x_star, _ = FAMILIES[family].draw(6, 3, 40, seed=21)
+        return market, x_star
+
+    @pytest.mark.parametrize("want_jacobian", [False, True])
+    def test_read_after_same_shape_call_matches_fresh(self, family, want_jacobian):
+        # the second call has the same (K, n) on the same thread, so it reuses
+        # and overwrites any working memory the first one used
+        market, x1 = self.market(family)
+        x2 = x1 + np.linspace(-2.0, 2.0, market.J)
+        first = market.evaluate(x1, want_jacobian=want_jacobian)
+        market.evaluate(x2, want_jacobian=want_jacobian)
+        welfare = first.welfare
+        fresh = market.evaluate(x1, want_jacobian=want_jacobian).welfare
+        assert np.float64(welfare).tobytes() == np.float64(fresh).tobytes()
+
+    def test_second_read_is_not_recomputed(self, family):
+        market, x = self.market(family)
+        ev = market.evaluate(x)
+        assert ev.welfare is ev.welfare
+        calls = []
+
+        def welfare():
+            calls.append(None)
+            return market.evaluate(x).welfare
+
+        ev = di.ModelEvaluation(welfare, ev.shares)
+        assert calls == []
+        assert ev.welfare == ev.welfare == market.evaluate(x).welfare
+        assert len(calls) == 1
+
+    def test_overflowing_welfare_raises_on_read_without_warning(self, family):
+        market, _ = self.market(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = market.evaluate(np.full(market.J, 1.79e308), want_jacobian=True)
+            assert np.isfinite(ev.shares).all() and np.isfinite(ev.jacobian).all()
+            for _ in range(2):
+                with pytest.raises(di.InvalidInputError, match="welfare must be finite"):
+                    ev.welfare

@@ -40,6 +40,10 @@ SAVED_TRUTH_SHA256 = {
     "purechar": "ce9d4aeca2df98c347ad7097b479d11edd6a2b9d4f9436f7f9fd67eab17d6e1a",
 }
 
+# sha256 of the bytes write_trace_csv writes for TestTraceCSV's seeded logit suite;
+# runs are compared through their trace files, so the format must not drift.
+SAVED_TRACE_SHA256 = "916ea6521f1068aaf275d2aa41e33b8e15734363e20c8e38af30df26c5dca7fa"
+
 
 @pytest.fixture()
 def logit_triple():
@@ -289,6 +293,11 @@ class TestTraceCSV:
             assert np.array_equal(errors, res.error_trace)
             evals = np.array([r["evaluations"] for r in run_rows])
             assert np.array_equal(evals, res.eval_trace)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        modelio.write_trace_csv(path, self.suite().results)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_TRACE_SHA256
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "trace.csv"

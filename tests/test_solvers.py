@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demandinv as di
+from demandinv.harness import FAMILIES
 from demandinv.solvers import _floor_hessian, _tr_step
 from oracles import cauchy_reduction, floored_step
 
@@ -93,6 +94,28 @@ class NaNSharesModel(di.DemandModel):
         if self.calls <= self.nan_from:
             return ev
         return di.ModelEvaluation(ev.welfare, np.full(self.J, np.nan), ev.jacobian)
+
+
+class WelfareCountingModel(di.DemandModel):
+    """Pass-through wrapper whose evaluations defer the inner model's welfare
+    to their first read and count how many of them compute it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.welfare_computed = 0
+
+    @property
+    def J(self):
+        return self.inner.J
+
+    def evaluate(self, x, want_jacobian=False):
+        ev = self.inner.evaluate(x, want_jacobian=want_jacobian)
+
+        def welfare():
+            self.welfare_computed += 1
+            return ev.welfare
+
+        return di.ModelEvaluation(welfare, ev.shares, ev.jacobian)
 
 
 class TestSolverConfig:
@@ -389,6 +412,20 @@ class TestResidualTrustRegion:
         assert counts["welfare"] == 0
         assert counts["shares"] == counts["jacobian"]
         assert res.eval_trace[0] == 1
+
+
+class TestWelfareReads:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_only_convex_tr_computes_welfare(self, family):
+        market, x_star, sigma_star = FAMILIES[family].draw(4, 3, 30, seed=5)
+        x0 = di.perturb_start(x_star, 1.0, seed=1)
+        cfg = di.SolverConfig(max_iterations=40)
+        for method in di.METHODS:
+            model = WelfareCountingModel(market)
+            res = di.invert(model, sigma_star, method, x0=x0, cfg=cfg)
+            assert res.eval_counts["shares"] > 1
+            assert model.welfare_computed == res.eval_counts["welfare"]
+            assert (res.eval_counts["welfare"] > 0) == (method == "convex_tr")
 
 
 class TestSharedContract:

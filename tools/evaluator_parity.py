@@ -9,7 +9,10 @@ x*, x* + N(0,1), 1e6 x*, 0 and x* - 8, with and without the Jacobian, in each
 tree, and compares shares, welfare and Jacobian byte for byte. Each
 pure-characteristics evaluation is then repeated after evaluating a twin
 market of the same shape (products and consumers in reverse order), so that
-working arrays carried over from one call to the next show as differences.
+working arrays carried over from one call to the next show as differences,
+and the twin is evaluated once more before that evaluation's outputs are read,
+so that a welfare deferred to its first read but computed from working arrays
+shows as well.
 The maker pass calls make_logit_instance and make_purechar_instance on seeded
 sizes (J 1-15, M from the family's smallest to 5, n 1-399), with integer and
 SeedSequence seeds in turn, and compares z, the draws, beta, x* and sigma*
@@ -96,16 +99,20 @@ def made(family: str, rng, k: int) -> tuple:
     return tuple((a.shape, a.tobytes()) for a in arrays)
 
 
-def record(market, x, want: bool) -> tuple:
-    """One evaluation's (welfare, shares, jacobian) bytes, or its exception."""
+def record(market, x, want: bool, then=None) -> tuple:
+    """One evaluation's (welfare, shares, jacobian) bytes, or its exception;
+    `then`, if given, is called between the evaluation and the first read."""
     import numpy as np
 
     try:
         ev = market.evaluate(x, want_jacobian=want)
+        if then is not None:
+            then()
+        welfare = ev.welfare  # a welfare computed on first read may raise there
     except Exception as exc:  # a raising evaluation is an output too
         return type(exc).__name__, str(exc)
     jac = b"" if ev.jacobian is None else ev.jacobian.tobytes()
-    return np.float64(ev.welfare).tobytes(), ev.shares.tobytes(), jac
+    return np.float64(welfare).tobytes(), ev.shares.tobytes(), jac
 
 
 def dump(per_kind: int) -> dict:
@@ -134,8 +141,11 @@ def dump(per_kind: int) -> dict:
                 for want in (False, True):
                     out[family].append(record(market, x, want))
                     if twin is not None:
-                        record(twin, x[::-1] + 1.0, want)
-                        out[family].append(record(market, x, want))
+                        def twin_call():
+                            return record(twin, x[::-1] + 1.0, want)
+
+                        twin_call()
+                        out[family].append(record(market, x, want, then=twin_call))
     return out
 
 
