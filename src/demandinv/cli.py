@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 IO failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -176,9 +175,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

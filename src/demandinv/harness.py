@@ -54,9 +54,11 @@ class ExperimentSpec:
         methods = tuple(self.methods)
         if not methods:
             raise InvalidInputError("methods must not be empty")
-        for method in methods:
+        for k, method in enumerate(methods):
             if method not in METHODS:
                 raise InvalidInputError(f"unknown method {method!r}")
+            if method in methods[:k]:
+                raise InvalidInputError(f"method {method!r} is listed more than once")
         object.__setattr__(self, "methods", methods)
 
 
@@ -129,7 +131,8 @@ def empirical_rate(trace, window: int = 5) -> float:
 
 
 def _run_replication(spec: ExperimentSpec, replication: int):
-    """Worker: build the seeded instance, run every method from one shared start."""
+    """Worker: build the seeded instance, run every method from one shared start;
+    returns the outcome by method and the target's DegeneracyStats row."""
     instance_seed = np.random.SeedSequence([spec.master_seed, replication, 0])
     start_seed = np.random.SeedSequence([spec.master_seed, replication, 1])
     market, x_star, sigma_star = FAMILIES[spec.model_family].draw(
@@ -144,7 +147,7 @@ def _run_replication(spec: ExperimentSpec, replication: int):
             outcomes[method] = str(exc)
     min_inside = float(sigma_star.min())
     outside = max(0.0, 1.0 - float(sigma_star.sum()))
-    return replication, outcomes, (min_inside, outside, min(min_inside, outside))
+    return outcomes, (min_inside, outside, min(min_inside, outside))
 
 
 def _worker_count() -> int:
@@ -176,41 +179,31 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
 
     results: dict[tuple[str, int], InversionResult] = {}
     failures: dict[tuple[str, int], str] = {}
-    stats = np.empty((spec.replications, 3))
-    for replication, outcomes, deg in rows:
-        stats[replication] = deg
+    traces: dict[str, list[np.ndarray]] = {method: [] for method in spec.methods}
+    target_stats = []
+    for replication, (outcomes, stats) in enumerate(rows):
+        target_stats.append(stats)
         for method, outcome in outcomes.items():
             if isinstance(outcome, InversionResult):
                 results[(method, replication)] = outcome
+                traces[method].append(outcome.error_trace)
             else:
                 failures[(method, replication)] = outcome
 
-    degeneracy = DegeneracyStats(
-        min_inside_share=stats[:, 0].copy(),
-        outside_share=stats[:, 1].copy(),
-        min_overall=stats[:, 2].copy(),
-    )
-    bands = _aggregate_bands(spec, results)
-    return SuiteResult(
-        spec=spec, results=results, bands=bands, degeneracy=degeneracy, failures=failures
-    )
+    degeneracy = DegeneracyStats(*(np.array(column) for column in zip(*target_stats)))
+    return SuiteResult(spec, results, _aggregate_bands(traces), degeneracy, failures)
 
 
-def _aggregate_bands(spec: ExperimentSpec, results) -> dict[str, MethodBand]:
+def _aggregate_bands(traces: dict[str, list[np.ndarray]]) -> dict[str, MethodBand]:
     bands: dict[str, MethodBand] = {}
-    for method in spec.methods:
-        traces = [
-            results[(method, r)].error_trace
-            for r in range(spec.replications)
-            if (method, r) in results
-        ]
-        if not traces:
+    for method, runs in traces.items():
+        if not runs:
             continue
         # Pad by carrying the last (best) error forward so every replication
         # is defined up to this method's longest trace.
-        padded = np.empty((len(traces), max(trace.size for trace in traces)))
+        padded = np.empty((len(runs), max(trace.size for trace in runs)))
         rates = []
-        for i, trace in enumerate(traces):
+        for i, trace in enumerate(runs):
             padded[i, : trace.size] = trace
             padded[i, trace.size :] = trace[-1]
             if trace.size >= 3:

@@ -42,8 +42,12 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
+    """The document in a UTF-8 JSON file; content that fails to decode raises InvalidInputError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes or syntax, deep nesting, long int
+            raise InvalidInputError(f"invalid JSON: {exc}") from None
 
 
 def _require(doc: dict, keys, what: str) -> None:
@@ -248,17 +252,13 @@ def bands_to_dict(bands: dict[str, MethodBand]) -> dict:
 
 
 def degeneracy_to_dict(deg: DegeneracyStats) -> dict:
+    names = [f.name for f in dataclasses.fields(deg)]
+    rows = zip(*(getattr(deg, name).tolist() for name in names))
     return {
         "threshold": DEGENERACY_THRESHOLD,
         "fraction_below": deg.fraction_below(),
         "replications": [
-            {
-                "replication_id": r,
-                "min_inside_share": float(deg.min_inside_share[r]),
-                "outside_share": float(deg.outside_share[r]),
-                "min_overall": float(deg.min_overall[r]),
-            }
-            for r in range(deg.min_overall.size)
+            {"replication_id": r, **dict(zip(names, row))} for r, row in enumerate(rows)
         ],
     }
 

@@ -53,6 +53,8 @@ SYNTHETIC = "tests/test_core.py::TestSyntheticMarket"
 NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
 WELFARE_READS = "tests/test_solvers.py::TestWelfareReads"
 DEFERRED = "tests/test_core.py::TestDeferredWelfare"
+REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
+MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -382,9 +384,50 @@ MUTANTS = [
     (
         "band padded to the suite-wide length",
         "harness.py",
-        "max(trace.size for trace in traces)",
-        "max(res.error_trace.size for res in results.values())",
+        "max(trace.size for trace in runs)",
+        "max(trace.size for runs in traces.values() for trace in runs)",
         ["tests/test_harness.py::TestRunSuite::test_band_independent_of_other_methods"],
+    ),
+    (
+        "degeneracy statistics filed in the wrong fields",
+        "harness.py",
+        "return outcomes, (min_inside, outside, min(min_inside, outside))",
+        "return outcomes, (outside, min_inside, min(min_inside, outside))",
+        ["tests/test_harness.py::TestRunSuite::test_degeneracy_statistics"],
+    ),
+    (
+        "degeneracy rows written with the fields out of order",
+        "modelio.py",
+        "names = [f.name for f in dataclasses.fields(deg)]",
+        "names = [f.name for f in reversed(dataclasses.fields(deg))]",
+        ["tests/test_modelio.py::TestRunArtifacts::test_degeneracy_dict", REPORT_BYTES],
+    ),
+    (
+        "a failed run dropped from failures",
+        "harness.py",
+        "failures[(method, replication)] = outcome",
+        "pass",
+        [
+            "tests/test_harness.py::TestRunSuite::test_failures_recorded_and_excluded_from_bands",
+            REPORT_BYTES,
+        ],
+    ),
+    (
+        "repeated method accepted",
+        "harness.py",
+        "if method in methods[:k]:",
+        "if False:",
+        [
+            "tests/test_harness.py::TestExperimentSpec::test_invalid_specs_rejected",
+            "tests/test_cli.py::TestSimulate::test_repeated_method_is_usage_error",
+        ],
+    ),
+    (
+        "undecodable JSON files raise past read_json",
+        "modelio.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except ZeroDivisionError as exc:",
+        [MALFORMED_FILE],
     ),
     (
         "booleans accepted as integers",

@@ -274,14 +274,35 @@ class TestInvert:
         assert code == EXIT_IO
         assert "io error" in capsys.readouterr().err
 
-    def test_malformed_model_json_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option", ["model", "spec", "shares", "x0"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b"[0.5, \"\xff\"]",
+            b"[" * 100_000 + b"]" * 100_000,
+            b"[" + b"7" * 5_000 + b"]",
+        ],
+        ids=["syntax", "bytes", "depth", "digits"],
+    )
+    def test_malformed_model_json_is_usage_error(self, tmp_path, capsys, option, content):
+        # any file the command line reads: undecodable bytes, a syntax error,
+        # nesting too deep for the parser, an integer too long to convert
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = run_cli(
-            "invert", "--model", bad, "--shares", "0.5", "--out", tmp_path / "r.json",
-        )
+        bad.write_bytes(content)
+        if option == "spec":
+            code = run_cli("simulate", "--spec", bad, "--out-dir", tmp_path / "run")
+        else:
+            files = {"model": generate(tmp_path), "shares": "0.2,0.3,0.1", "x0": None}
+            files[option] = bad
+            argv = ["invert", "--model", files["model"], "--shares", files["shares"]]
+            if files["x0"] is not None:
+                argv += ["--x0", files["x0"]]
+            code = run_cli(*argv, "--out", tmp_path / "r.json")
         assert code == EXIT_USAGE
-        assert "invalid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(
         "key, value, expected",
@@ -570,6 +591,15 @@ class TestSimulate:
         assert code == EXIT_USAGE
         expected = f"error: market too large to index: J={10**20}, M=2, n=15\n"
         assert capsys.readouterr().err == expected
+
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys):
+        doc = self.spec_doc()
+        doc["methods"] = ["convex_tr", "residual_tr", "convex_tr"]
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: method 'convex_tr' is listed more than once\n"
+        assert not (tmp_path / "run").exists()
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli("simulate", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "r")

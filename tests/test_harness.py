@@ -109,6 +109,7 @@ class TestExperimentSpec:
             {"methods": ("newton",)},
             {"delta_norm": math.inf},
             {"J": 10**20},
+            {"methods": ("contraction", "convex_tr", "contraction")},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

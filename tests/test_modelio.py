@@ -44,6 +44,17 @@ SAVED_TRUTH_SHA256 = {
 # runs are compared through their trace files, so the format must not drift.
 SAVED_TRACE_SHA256 = "916ea6521f1068aaf275d2aa41e33b8e15734363e20c8e38af30df26c5dca7fa"
 
+# sha256 of the report files simulate writes next to trace.csv, for
+# TestReportBytes' two seeded suites; the purechar suite has one failed run.
+SAVED_REPORT_SHA256 = {
+    ("logit", "bands.json"): "c812fd0dea77d9bf4c5543737633dcdf9bf2394f33994694419fa331f95b44ac",
+    ("logit", "degeneracy.json"): "cdfc4b62f4e85b1b035dd5767ceda4218e9fe1c5ef07a48edc5b3ba5a7ed5650",
+    ("logit", "manifest.json"): "e114a8e434dcf04e2d6c8d44dfb3c009c8a8e16826eefba441f553ce1b9eeef2",
+    ("purechar", "bands.json"): "ecf49a780ff795093c2b7412ed42e75b9d9417d07221ad036d02c34376cfd852",
+    ("purechar", "degeneracy.json"): "c6d60b5e226a34aafd0af39b698bc3b3ca11091527179c8bed5d159d650a8ada",
+    ("purechar", "manifest.json"): "d12fe09e0745013fa6c0487bcf07a0f48fc671442fa3ee0841a06a51df0d9c20",
+}
+
 
 @pytest.fixture()
 def logit_triple():
@@ -260,18 +271,19 @@ class TestSpecFiles:
 
 
 class TestTraceCSV:
+    spec = di.ExperimentSpec(
+        model_family="logit",
+        J=3,
+        M=2,
+        n=20,
+        replications=2,
+        delta_norm=5.0,
+        solver=di.SolverConfig(max_iterations=30),
+        master_seed=2,
+    )
+
     def suite(self):
-        spec = di.ExperimentSpec(
-            model_family="logit",
-            J=3,
-            M=2,
-            n=20,
-            replications=2,
-            delta_norm=5.0,
-            solver=di.SolverConfig(max_iterations=30),
-            master_seed=2,
-        )
-        return di.run_suite(spec)
+        return di.run_suite(self.spec)
 
     def test_round_trip_and_ordering(self, tmp_path):
         suite = self.suite()
@@ -312,6 +324,36 @@ class TestTraceCSV:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestReportBytes:
+    SPECS = {
+        "logit": TestTraceCSV.spec,
+        "purechar": di.ExperimentSpec(model_family="purechar", J=4, M=3, n=40, replications=3),
+    }
+
+    @pytest.fixture(scope="class", params=list(SPECS))
+    def reports(self, request, tmp_path_factory):
+        """The family's name and the directory its suite's report files are written to."""
+        spec = self.SPECS[request.param]
+        suite = di.run_suite(spec)
+        out_dir = tmp_path_factory.mktemp(request.param)
+        modelio.write_json(out_dir / "bands.json", modelio.bands_to_dict(suite.bands))
+        modelio.write_json(out_dir / "degeneracy.json", modelio.degeneracy_to_dict(suite.degeneracy))
+        modelio.write_json(out_dir / "manifest.json", modelio.manifest_dict(spec, suite.failures))
+        return request.param, out_dir
+
+    @pytest.mark.parametrize("name", ["bands.json", "degeneracy.json", "manifest.json"])
+    def test_saved_bytes_pinned(self, reports, name):
+        family, out_dir = reports
+        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert digest == SAVED_REPORT_SHA256[(family, name)]
+
+    def test_purechar_suite_keeps_its_failed_run(self, reports):
+        # so the pinned manifest covers a failure's serialization
+        family, out_dir = reports
+        failures = modelio.read_json(out_dir / "manifest.json")["failures"]
+        assert list(failures) == (["contraction:2"] if family == "purechar" else [])
 
 
 class TestRunArtifacts:
@@ -358,6 +400,16 @@ class TestRunArtifacts:
         assert doc["fraction_below"] == 0.5
         assert [r["replication_id"] for r in doc["replications"]] == [0, 1]
         assert doc["replications"][1]["min_overall"] == 1e-16
+        # each row: the replication id, then the dataclass fields in order
+        assert doc["replications"][0] == {
+            "replication_id": 0,
+            "min_inside_share": 0.2,
+            "outside_share": 0.1,
+            "min_overall": 0.1,
+        }
+        assert list(doc["replications"][0]) == [
+            "replication_id", "min_inside_share", "outside_share", "min_overall"
+        ]
 
     def test_manifest(self):
         spec = di.ExperimentSpec(model_family="logit", J=3, M=2, n=15, replications=2)
