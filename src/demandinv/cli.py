@@ -15,16 +15,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import InvalidInputError, as_mean_utility, as_share_vector
+from .core import InvalidInputError
 from .harness import FAMILIES, perturb_start, run_suite
 from .modelio import (
     bands_to_dict,
     degeneracy_to_dict,
     inversion_result_to_dict,
     load_model,
-    load_shares,
     load_truth,
     load_vector,
     manifest_dict,
@@ -101,23 +98,21 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_shares(text: str, J: int):
-    path = Path(text)
-    if path.exists():
-        shares = load_shares(path)
-    else:
-        try:
-            shares = [float(tok) for tok in text.split(",")]
-        except ValueError:
-            raise InvalidInputError(
-                f"--shares is neither an existing file nor a comma-separated list: {text!r}"
-            ) from None
-    return as_share_vector(shares, J)
+def _parse_shares(text: str):
+    if Path(text).exists():
+        missing = "shares file needs a 'shares' or 'sigma_star' key"
+        return load_vector(text, ("shares", "sigma_star"), missing)
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(
+            f"--shares is neither an existing file nor a comma-separated list: {text!r}"
+        ) from None
 
 
-def _parse_x0(arg, model_path, J: int, x0_seed: int):
+def _parse_x0(arg, model_path, x0_seed: int):
     if arg is None:
-        return np.zeros(J)
+        return None
     if arg.startswith(X0_TRUTH_PREFIX):
         try:
             norm = float(arg[len(X0_TRUTH_PREFIX) :])
@@ -126,13 +121,13 @@ def _parse_x0(arg, model_path, J: int, x0_seed: int):
         x_star, _ = load_truth(truth_path_for(model_path))
         return perturb_start(x_star, norm, x0_seed)
     missing = "x0 file needs an 'x0' or 'x_star' key"
-    return as_mean_utility(load_vector(arg, ("x0", "x_star"), missing), J)
+    return load_vector(arg, ("x0", "x_star"), missing)
 
 
 def cmd_invert(args) -> int:
     market = load_model(args.model)
-    target = _parse_shares(args.shares, market.J)
-    x0 = _parse_x0(args.x0, args.model, market.J, args.x0_seed)
+    target = _parse_shares(args.shares)
+    x0 = _parse_x0(args.x0, args.model, args.x0_seed)
     overrides = {}
     if args.tol is not None:
         overrides["gradient_tolerance"] = args.tol

@@ -31,22 +31,28 @@ def as_float_array(value, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
 
 
+def _as_vector(value, name: str, J: int | None) -> np.ndarray:
+    """value as a finite float64 vector, of length J when J is given; a scalar
+    becomes a vector of length 1."""
+    v = as_float_array(value, name)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    elif v.ndim != 1:
+        raise InvalidInputError(f"{name} must be a vector, got shape {v.shape}")
+    if J is not None and v.shape[0] != J:
+        raise InvalidInputError(f"{name} has dimension {v.shape[0]}, expected {J}")
+    if not np.isfinite(v).all():
+        raise InvalidInputError(f"{name} has NaN or infinite coordinates")
+    return v
+
+
 def as_mean_utility(x, J: int | None = None) -> np.ndarray:
     """Validate and return a mean-utility vector as a float64 array.
 
     Rejects NaN/infinite coordinates eagerly so solvers can tell model
     failures apart from bad steps.
     """
-    x = as_float_array(x, "mean utility")
-    if x.ndim == 0:
-        x = x.reshape(1)
-    elif x.ndim != 1:
-        raise InvalidInputError(f"mean utility must be a vector, got shape {x.shape}")
-    if J is not None and x.shape[0] != J:
-        raise InvalidInputError(f"mean utility has dimension {x.shape[0]}, expected {J}")
-    if not np.isfinite(x).all():
-        raise InvalidInputError("mean utility has NaN or infinite coordinates")
-    return x
+    return _as_vector(x, "mean utility", J)
 
 
 def as_share_vector(s, J: int | None = None) -> np.ndarray:
@@ -55,13 +61,7 @@ def as_share_vector(s, J: int | None = None) -> np.ndarray:
     SIMPLEX_ATOL absorbs float round-off; genuine violations raise
     InvalidInputError naming the offending coordinate.
     """
-    s = np.atleast_1d(as_float_array(s, "share vector"))
-    if s.ndim != 1:
-        raise InvalidInputError(f"share vector must be a vector, got shape {s.shape}")
-    if J is not None and s.shape[0] != J:
-        raise InvalidInputError(f"share vector has dimension {s.shape[0]}, expected {J}")
-    if not np.isfinite(s).all():
-        raise InvalidInputError("share vector has NaN or infinite coordinates")
+    s = _as_vector(s, "share vector", J)
     bad = np.nonzero(s < -SIMPLEX_ATOL)[0]
     if bad.size:
         raise InvalidInputError(f"share coordinate {bad[0]} is negative ({s[bad[0]]!r})")

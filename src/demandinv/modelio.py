@@ -47,7 +47,7 @@ def read_json(path):
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad bytes or syntax, deep nesting, long int
-            raise InvalidInputError(f"invalid JSON: {exc}") from None
+            raise InvalidInputError(f"invalid JSON: {path}: {exc}") from None
 
 
 def _require(doc: dict, keys, what: str) -> None:
@@ -138,6 +138,8 @@ def market_from_dict(doc):
     _reject_unknown(doc, _MODEL_KEYS, "model file")
     family = _field(doc, "family", str, "model file")
     J, M, n = (_field(doc, key, int, "model file") for key in ("J", "M", "n"))
+    if "seed" in doc and _field(doc, "seed", int, "model file") < 0:
+        raise InvalidInputError(f"model file: 'seed' must be non-negative, got {doc['seed']}")
     z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown model family {family!r}")
@@ -181,21 +183,13 @@ def load_truth(path):
 def load_vector(path, keys, missing: str):
     """Vector values from a JSON file holding a bare array, or an object with
     the values under the first of `keys` present; `missing` is the error
-    message when the object has none of them."""
+    message when the object has none of them or the file holds null."""
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        return doc
-    values = next((doc[key] for key in keys if doc.get(key) is not None), None)
-    if values is None:
+    if isinstance(doc, dict):
+        doc = next((doc[key] for key in keys if doc.get(key) is not None), None)
+    if doc is None:
         raise InvalidInputError(missing)
-    return values
-
-
-def load_shares(path):
-    """Share vector from a JSON file: a bare array, or an object with a
-    'shares' or 'sigma_star' key (truth sidecars work directly)."""
-    missing = "shares file needs a 'shares' or 'sigma_star' key"
-    return as_share_vector(load_vector(path, ("shares", "sigma_star"), missing))
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ WELFARE_READS = "tests/test_solvers.py::TestWelfareReads"
 DEFERRED = "tests/test_core.py::TestDeferredWelfare"
 REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
 MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
+VECTOR_FILE = "tests/test_cli.py::TestInvert::test_bad_vector_file_is_usage_error"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -354,11 +355,21 @@ MUTANTS = [
         ],
     ),
     (
-        "mean-utility finiteness check dropped",
+        "vector finiteness check dropped",
         "core.py",
-        "if not np.isfinite(x).all():",
+        "if not np.isfinite(v).all():",
         "if False:",
-        [f"{VALIDATORS}::test_mean_utility_rejects_nonfinite"],
+        [
+            f"{VALIDATORS}::test_mean_utility_rejects_nonfinite",
+            f"{VALIDATORS}::test_share_vector_rejects_nonfinite",
+        ],
+    ),
+    (
+        "invert checks the target without the model's J",
+        "solvers.py",
+        "target = as_share_vector(sigma_star, model.J)",
+        "target = as_share_vector(sigma_star)",
+        [f"{VECTOR_FILE}[shares_length]"],
     ),
     (
         "ModelEvaluation shares finiteness dropped",
@@ -428,6 +439,27 @@ MUTANTS = [
         "except (ValueError, RecursionError) as exc:",
         "except ZeroDivisionError as exc:",
         [MALFORMED_FILE],
+    ),
+    (
+        "JSON decode errors without the file's path",
+        "modelio.py",
+        'f"invalid JSON: {path}: {exc}"',
+        'f"invalid JSON: {exc}"',
+        [f"{MALFORMED_FILE}[syntax-truth]"],
+    ),
+    (
+        "a vector file holding null read as no vector",
+        "modelio.py",
+        "if isinstance(doc, dict):\n        doc = next(",
+        "if not isinstance(doc, dict):\n        return doc\n    if True:\n        doc = next(",
+        [f"{VECTOR_FILE}[x0_null_J3]"],
+    ),
+    (
+        "model file seed unchecked",
+        "modelio.py",
+        'if "seed" in doc and _field(doc, "seed", int, "model file") < 0:',
+        "if False:",
+        [f"{MISTYPED_MODEL}[seed_string]", f"{MISTYPED_MODEL}[seed_negative]"],
     ),
     (
         "booleans accepted as integers",

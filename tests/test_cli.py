@@ -187,6 +187,64 @@ class TestInvert:
             "--x0", x0_path, "--out", out,
         ) == EXIT_USAGE
 
+    def test_shares_file_layouts(self, tmp_path):
+        # a bare array, a 'shares' key, and a truth sidecar's 'sigma_star' key
+        # each give the inline list's result, to the byte
+        model_path = generate(tmp_path)
+        inline = tmp_path / "inline.json"
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", "0.2,0.3,0.1", "--out", inline
+        )
+        assert code == EXIT_OK
+        shares_path = tmp_path / "shares.json"
+        out = tmp_path / "r.json"
+        values = [0.2, 0.3, 0.1]
+        for doc in (values, {"shares": values}, {"sigma_star": values, "x_star": [0, 0, 0]}):
+            modelio.write_json(shares_path, doc)
+            code = run_cli(
+                "invert", "--model", model_path, "--shares", shares_path, "--out", out
+            )
+            assert code == EXIT_OK
+            assert out.read_bytes() == inline.read_bytes()
+
+    @pytest.mark.parametrize(
+        "J, option, doc, expected",
+        [
+            (3, "shares", {"values": [0.5]}, "shares file needs a 'shares' or 'sigma_star' key"),
+            (
+                3,
+                "shares",
+                [0.5, 0.25, 0.5],
+                "shares sum to 1.25 > 1 (outside share would be negative)",
+            ),
+            (3, "shares", None, "shares file needs a 'shares' or 'sigma_star' key"),
+            (3, "shares", [0.2, 0.3], "share vector has dimension 2, expected 3"),
+            (3, "shares", [0.9, 0.9], "share vector has dimension 2, expected 3"),
+            (3, "x0", None, "x0 file needs an 'x0' or 'x_star' key"),
+            (3, "x0", {"x0": None}, "x0 file needs an 'x0' or 'x_star' key"),
+            (1, "x0", None, "x0 file needs an 'x0' or 'x_star' key"),
+            (1, "x0", {"x0": None}, "x0 file needs an 'x0' or 'x_star' key"),
+            (3, "x0", [0.1, 0.2], "mean utility has dimension 2, expected 3"),
+        ],
+        ids=["shares_unknown_key", "shares_simplex", "shares_null", "shares_length",
+             "shares_length_and_simplex", "x0_null_J3", "x0_key_null_J3", "x0_null_J1",
+             "x0_key_null_J1", "x0_length"],
+    )
+    def test_bad_vector_file_is_usage_error(self, tmp_path, capsys, J, option, doc, expected):
+        # invert checks the file's values against the model's J; a null
+        # start must not fall back to the zero start
+        model_path = generate(tmp_path, J=J)
+        path = tmp_path / "vector.json"
+        modelio.write_json(path, doc)
+        shares = path if option == "shares" else tmp_path / "model.truth.json"
+        argv = ["invert", "--model", model_path, "--shares", shares]
+        if option == "x0":
+            argv += ["--x0", path]
+        code = run_cli(*argv, "--out", tmp_path / "r.json")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_zero_iteration_budget_reports_no_convergence(self, tmp_path):
         model_path = generate(tmp_path)
         out = tmp_path / "r.json"
@@ -274,7 +332,7 @@ class TestInvert:
         assert code == EXIT_IO
         assert "io error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", ["model", "spec", "shares", "x0"])
+    @pytest.mark.parametrize("option", ["model", "spec", "shares", "x0", "truth"])
     @pytest.mark.parametrize(
         "content",
         [
@@ -286,22 +344,27 @@ class TestInvert:
         ids=["syntax", "bytes", "depth", "digits"],
     )
     def test_malformed_model_json_is_usage_error(self, tmp_path, capsys, option, content):
-        # any file the command line reads: undecodable bytes, a syntax error,
+        # any file the command line reads, the truth sidecar that --x0
+        # truth+delta: reads included: undecodable bytes, a syntax error,
         # nesting too deep for the parser, an integer too long to convert
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
+        bad = tmp_path / ("model.truth.json" if option == "truth" else "bad.json")
         if option == "spec":
+            bad.write_bytes(content)
             code = run_cli("simulate", "--spec", bad, "--out-dir", tmp_path / "run")
         else:
             files = {"model": generate(tmp_path), "shares": "0.2,0.3,0.1", "x0": None}
-            files[option] = bad
+            if option == "truth":
+                files["x0"] = "truth+delta:5"
+            else:
+                files[option] = bad
+            bad.write_bytes(content)  # after generate, which writes the truth sidecar
             argv = ["invert", "--model", files["model"], "--shares", files["shares"]]
             if files["x0"] is not None:
                 argv += ["--x0", files["x0"]]
             code = run_cli(*argv, "--out", tmp_path / "r.json")
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid JSON: ")
+        assert err.startswith(f"error: invalid JSON: {bad}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(
@@ -311,8 +374,10 @@ class TestInvert:
             ("z", [["a"], ["b"], ["c"]], "a rectangular array of numbers"),
             ("z", [[0.1, 0.2], [0.3], [0.4, 0.5]], "a rectangular array of numbers"),
             ("family", ["logit"], "a string, got ['logit']"),
+            ("seed", "x", "an integer, got 'x'"),
+            ("seed", -5, "non-negative, got -5"),
         ],
-        ids=["J_string", "z_strings", "z_ragged", "family_list"],
+        ids=["J_string", "z_strings", "z_ragged", "family_list", "seed_string", "seed_negative"],
     )
     def test_mistyped_model_field_is_usage_error(self, tmp_path, capsys, key, value, expected):
         model_path = generate(tmp_path)

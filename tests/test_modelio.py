@@ -178,25 +178,6 @@ class TestTruthAndShares:
         modelio.save_truth(path, x_star, sigma_star)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_TRUTH_SHA256[family]
 
-    def test_load_shares_accepts_three_layouts(self, tmp_path):
-        values = [0.2, 0.3, 0.1]
-        for doc in (values, {"shares": values}, {"sigma_star": values, "x_star": [0, 0, 0]}):
-            path = tmp_path / "shares.json"
-            modelio.write_json(path, doc)
-            assert np.array_equal(modelio.load_shares(path), np.array(values))
-
-    def test_load_shares_needs_known_key(self, tmp_path):
-        path = tmp_path / "shares.json"
-        modelio.write_json(path, {"values": [0.5]})
-        with pytest.raises(di.InvalidInputError):
-            modelio.load_shares(path)
-
-    def test_load_shares_validates_simplex(self, tmp_path):
-        path = tmp_path / "shares.json"
-        modelio.write_json(path, [0.9, 0.9])
-        with pytest.raises(di.InvalidInputError):
-            modelio.load_shares(path)
-
 
 class TestSpecFiles:
     def spec(self):
