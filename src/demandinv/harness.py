@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -172,6 +171,7 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
     workers = _worker_count()
     replications = range(spec.replications)
     if workers > 1 and spec.replications > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so one-worker runs skip its import
         with ProcessPoolExecutor(max_workers=min(workers, spec.replications)) as pool:
             rows = list(pool.map(_run_replication, repeat(spec), replications))
     else:

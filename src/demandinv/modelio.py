@@ -83,6 +83,19 @@ _KINDS = {
 }
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON value as a float array; InvalidInputError unless every entry of its
+    nested lists is a JSON number, which numpy would not check."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            raise InvalidInputError(f"{name} must be a rectangular array of numbers")
+    return as_float_array(value, name)
+
+
 def _field(doc: dict, key: str, kind, what: str):
     """doc[key] checked against _KINDS and converted to `kind`, or a nested dataclass."""
     if dataclasses.is_dataclass(kind):
@@ -140,7 +153,7 @@ def market_from_dict(doc):
     J, M, n = (_field(doc, key, int, "model file") for key in ("J", "M", "n"))
     if "seed" in doc and _field(doc, "seed", int, "model file") < 0:
         raise InvalidInputError(f"model file: 'seed' must be non-negative, got {doc['seed']}")
-    z, nu, beta = (as_float_array(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
+    z, nu, beta = (_numbers(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown model family {family!r}")
     market = FAMILIES[family](z, nu, beta)
@@ -177,7 +190,8 @@ def load_truth(path):
     if not isinstance(doc, dict):
         raise InvalidInputError("truth file must hold a JSON object")
     _require(doc, ("x_star", "sigma_star"), "truth file")
-    return as_mean_utility(doc["x_star"]), as_share_vector(doc["sigma_star"])
+    x_star, sigma_star = (_numbers(doc[k], f"truth file: {k!r}") for k in ("x_star", "sigma_star"))
+    return as_mean_utility(x_star), as_share_vector(sigma_star)
 
 
 def load_vector(path, keys, missing: str):
@@ -189,7 +203,7 @@ def load_vector(path, keys, missing: str):
         doc = next((doc[key] for key in keys if doc.get(key) is not None), None)
     if doc is None:
         raise InvalidInputError(missing)
-    return doc
+    return _numbers(doc, f"{keys[0]} file")
 
 
 # ---------------------------------------------------------------------------

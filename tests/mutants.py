@@ -38,7 +38,10 @@ SCIPY_IMPORT = (
 )
 LOGIT_PROPERTY = "tests/test_logit.py::TestInvariants::test_random_markets_and_utilities"
 LOGIT_PSD = "tests/test_logit.py::TestInvariants::test_jacobian_psd_on_random_markets"
-LOGIT_CACHE = "tests/test_logit.py::TestCachedUtilities::test_cache_read_only_and_unchanged"
+LOGIT_CACHED = "tests/test_logit.py::TestCachedUtilities"
+LOGIT_CACHE = f"{LOGIT_CACHED}::test_cache_read_only_and_unchanged"
+LOGIT_TABLE = f"{LOGIT_CACHED}::test_table_read_only_and_unchanged"
+LOGIT_ACCURACY = "tests/test_logit.py::TestAccuracy::test_round_off_within_bounds"
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
@@ -56,6 +59,7 @@ DEFERRED = "tests/test_core.py::TestDeferredWelfare"
 REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
 MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
 VECTOR_FILE = "tests/test_cli.py::TestInvert::test_bad_vector_file_is_usage_error"
+NON_NUMBER = "tests/test_cli.py::TestInvert::test_non_number_entries_are_usage_error"
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -218,13 +222,13 @@ MUTANTS = [
         "logit.py",
         "float((shift + np.log(denom)).sum() / n)",
         "float(np.log(denom).sum() / n)",
-        [LOGIT_PROPERTY],
+        [LOGIT_PROPERTY, f"{LOGIT_CACHED}::test_each_side_of_the_guard_matches_reference_loop"],
     ),
     (
         "Jacobian diagonal as shares - mean(p²)",
         "logit.py",
-        "np.fill_diagonal(cross, -(v @ (outside / denom) + cross.sum(axis=1)))",
-        "np.fill_diagonal(cross, -self.n * (shares - (v * v).mean(axis=1)))",
+        "np.fill_diagonal(cross, -(p @ outside + cross.sum(axis=1)))",
+        "np.fill_diagonal(cross, -(p.sum(axis=1) - (p * p).sum(axis=1)))",
         [LOGIT_PSD],
     ),
     (
@@ -232,7 +236,21 @@ MUTANTS = [
         "logit.py",
         "v = self._zn + x[:, None]",
         "v = self._zn; v.setflags(write=True); v += x[:, None]",
-        [LOGIT_CACHE],
+        [LOGIT_CACHE, LOGIT_TABLE],
+    ),
+    (
+        "exp table guard without the log(J + 1) headroom",
+        "logit.py",
+        "room = 700.0 - float(np.log(self.J + 1.0) + np.abs(zn).max())",
+        "room = 700.0 - float(np.abs(zn).max())",
+        [f"{LOGIT_CACHED}::test_many_products_near_the_room_do_not_overflow"],
+    ),
+    (
+        "Euler's constant off by 2e-14",
+        "core.py",
+        "EULER_GAMMA = 0.5772156649015329",
+        "EULER_GAMMA = 0.5772156649015529",
+        [f"{LOGIT_ACCURACY}[moderate]"],
     ),
     (
         "trailing rejected trials dropped from eval_counts",
@@ -453,6 +471,13 @@ MUTANTS = [
         "if isinstance(doc, dict):\n        doc = next(",
         "if not isinstance(doc, dict):\n        return doc\n    if True:\n        doc = next(",
         [f"{VECTOR_FILE}[x0_null_J3]"],
+    ),
+    (
+        "JSON strings and booleans read as numbers",
+        "modelio.py",
+        "elif type(item) not in (int, float):",
+        "elif type(item) not in (int, float, str, bool):",
+        [f"{NON_NUMBER}[model_z_string]", f"{NON_NUMBER}[shares_key_false]"],
     ),
     (
         "model file seed unchecked",

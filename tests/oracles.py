@@ -4,16 +4,18 @@ Everything here is deliberately written from the defining formulas:
 per-consumer Python loops, raw choice simulation, and grid argmax. The only
 library code an oracle uses is the public `upper_envelope` in the
 pure-characteristics sweep, and that is checked against grid argmax on its
-own. Slow and simple on purpose. `cauchy_reduction` is the decrease every
-trust-region step must at least reach, `floored_step` takes the solvers' trial
-step in the coordinates of its inputs, and `read_trace_csv` reads back the
-trace files the library writes.
+own. Slow and simple on purpose. `logit_decimal_reference` carries the logit
+formulas at 40 significant digits, so it measures the library's round-off.
+`cauchy_reduction` is the decrease every trust-region step must at least
+reach, `floored_step` takes the solvers' trial step in the coordinates of its
+inputs, and `read_trace_csv` reads back the trace files the library writes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.special import ndtr
@@ -23,6 +25,7 @@ from demandinv.modelio import TRACE_COLUMNS
 from demandinv.solvers import _floor_hessian, _tr_step
 
 EULER_GAMMA = 0.5772156649015329
+EULER_GAMMA_40 = Decimal("0.5772156649015328606065120900824024310422")
 
 
 def logit_reference(z, nu, x):
@@ -46,6 +49,44 @@ def logit_reference(z, nu, x):
         shares += s
         jac += np.diag(s) - np.outer(s, s)
     return welfare / n + EULER_GAMMA, shares / n, jac / n
+
+
+def logit_decimal_reference(z, nu, x, digits=40):
+    """Logit welfare, shares and Jacobian carried at `digits` significant
+    digits, one consumer at a time, and rounded to doubles at the end.
+
+    z nu' + x is formed from the exact decimal values of the doubles, and the
+    Jacobian's diagonal p_j (p_0 + sum_{k != j} p_k) adds positive terms, so
+    nothing cancels. Returns (welfare, shares, jacobian).
+    """
+    z = np.asarray(z, float).tolist()
+    nu = np.asarray(nu, float).tolist()
+    x = np.asarray(x, float).tolist()
+    J, n = len(z), len(nu)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        zd = [[Decimal(v) for v in row] for row in z]
+        welfare = Decimal(0)
+        shares = [Decimal(0)] * J
+        jac = [[Decimal(0)] * J for _ in range(J)]
+        for row in nu:
+            nud = [Decimal(v) for v in row]
+            e = [(Decimal(x[j]) + sum(a * b for a, b in zip(zd[j], nud))).exp() for j in range(J)]
+            denom = 1 + sum(e)
+            welfare += denom.ln()
+            p = [ej / denom for ej in e]
+            outside = 1 / denom
+            for j in range(J):
+                shares[j] += p[j]
+                others = [p[k] for k in range(J) if k != j]
+                for k in range(J):
+                    jac[j][k] += p[j] * (outside + sum(others)) if k == j else -p[j] * p[k]
+        welfare = float(welfare / n + EULER_GAMMA_40)
+        return (
+            welfare,
+            np.array([float(s / n) for s in shares]),
+            np.array([[float(v / n) for v in row] for row in jac]),
+        )
 
 
 def finite_difference_gradient(model, x, step=1e-5):

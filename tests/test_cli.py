@@ -392,6 +392,49 @@ class TestInvert:
         err = capsys.readouterr().err
         assert err == f"error: model file: {key!r} must be {expected}\n"
 
+    @pytest.mark.parametrize(
+        "file, key, entry, expected",
+        [
+            ("model", "z", "quoted", "model file: 'z'"),
+            ("model", "nu", False, "model file: 'nu'"),
+            ("model", "beta", True, "model file: 'beta'"),
+            ("shares", None, "quoted", "shares file"),
+            ("shares", "shares", False, "shares file"),
+            ("shares", None, None, "shares file"),
+            ("x0", "x0", "quoted", "x0 file"),
+            ("truth", "x_star", True, "truth file: 'x_star'"),
+            ("truth", "sigma_star", "quoted", "truth file: 'sigma_star'"),
+        ],
+        ids=["model_z_string", "model_nu_false", "model_beta_true", "shares_string",
+             "shares_key_false", "shares_null_entry", "x0_key_string", "truth_x_star_true",
+             "truth_sigma_star_string"],
+    )
+    def test_non_number_entries_are_usage_error(self, tmp_path, capsys, file, key, entry, expected):
+        # JSON strings, booleans and nulls are not numbers, though numpy would
+        # read "0.25" as 0.25 and true as 1.0; "quoted" quotes one entry
+        model_path = generate(tmp_path, family="purechar", J=4, M=3, n=30)
+        paths = {"model": model_path, "truth": tmp_path / "model.truth.json"}
+        paths.update(shares=tmp_path / "shares.json", x0=tmp_path / "x0.json")
+        if file in ("model", "truth"):
+            doc = modelio.read_json(paths[file])
+            values = doc[key]
+        else:
+            values = [0.2, 0.1, 0.1, 0.1]
+            doc = values if key is None else {key: values}
+        inner = values[0] if isinstance(values[0], list) else values
+        inner[0] = str(inner[0]) if entry == "quoted" else entry
+        modelio.write_json(paths[file], doc)
+        shares = paths["shares"] if file == "shares" else "0.2,0.1,0.1,0.1"
+        x0 = paths["x0"] if file == "x0" else "truth+delta:0.5"  # reads the truth file
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", shares, "--x0", x0,
+            "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {expected} must be a rectangular array of numbers\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_overflowing_model_is_usage_error(self, tmp_path, capsys):
         model_path = generate(tmp_path, J=2, M=1, n=2)
         doc = modelio.read_json(model_path)

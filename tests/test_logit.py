@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import demandinv as di
 from oracles import (
     finite_difference_gradient,
+    logit_decimal_reference,
     logit_reference,
     mc_logit_shares,
     mc_standard_errors,
@@ -20,6 +21,14 @@ from oracles import (
 
 def zero_z_market(J, n=4, M=2):
     return di.LogitMarket(z=np.zeros((J, M)), nu=np.ones((n, M)), beta=np.zeros(M))
+
+
+def assert_matches_reference_loop(market, x, ev):
+    """ev, an evaluation at x with the Jacobian, agrees with logit_reference to 1e-13."""
+    ref_w, ref_s, ref_j = logit_reference(market.z, market.nu, x)
+    assert abs(ev.welfare - ref_w) <= 1e-13 * max(1.0, abs(ref_w))
+    assert np.max(np.abs(ev.shares - ref_s)) <= 1e-13
+    assert np.max(np.abs(ev.jacobian - ref_j)) <= 1e-13
 
 
 class TestClosedForms:
@@ -169,8 +178,59 @@ class TestInvariants:
         assert np.linalg.eigvalsh(jac)[0] >= -1e-13 * np.max(np.abs(jac))
 
 
+class TestAccuracy:
+    """Round-off against the 40-digit reference on seeded small markets
+    (J <= 6, M <= 3, n <= 40), in units of eps = 2^-52.
+
+    Shares are measured relative to each share and absolutely, the welfare
+    relative to max(1, |W|), the Jacobian relative to its largest entry. The
+    largest errors over these markets, measured before and after the
+    evaluator took the exp(z nu') table, were (before / after):
+
+    - |x| <= 30: welfare 1.49 / 1.50, shares 21.7 / 2.8 relative and
+      1.0 / 1.0 absolute, Jacobian 16.2 / 2.9;
+    - x = 705 +- 5, beyond the table's room, where both use the shifted
+      code: welfare 1.46, shares 254 relative and 49 absolute, Jacobian 175.
+      Rounding x + z nu' near 705 to a double alone moves each exp by up to
+      256 eps.
+
+    The bounds below leave room over both.
+    """
+
+    EPS = np.finfo(float).eps
+    # x = centre + scale * Uniform[-1, 1]^J, per (centre, scale)
+    POINTS = {"moderate": [(0.0, 1.0), (0.0, 10.0), (0.0, 30.0)], "beyond_room": [(705.0, 5.0)]}
+    BOUNDS = {  # welfare, shares relative, shares absolute, Jacobian
+        "moderate": (3.0, 32.0, 3.0, 24.0),
+        "beyond_room": (3.0, 384.0, 96.0, 256.0),
+    }
+
+    @pytest.mark.parametrize("points", sorted(BOUNDS))
+    def test_round_off_within_bounds(self, points):
+        worst = np.zeros(4)
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 7])
+            J, M, n = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 41))
+            market = di.LogitMarket(
+                z=rng.standard_normal((J, M)), nu=rng.standard_normal((n, M)), beta=np.ones(M)
+            )
+            for centre, scale in self.POINTS[points]:
+                x = centre + scale * rng.uniform(-1.0, 1.0, J)
+                ev = market.evaluate(x, want_jacobian=True)
+                ref_w, ref_s, ref_j = logit_decimal_reference(market.z, market.nu, x)
+                errors = (
+                    abs(ev.welfare - ref_w) / max(1.0, abs(ref_w)),
+                    np.max(np.abs(ev.shares - ref_s) / ref_s),
+                    np.max(np.abs(ev.shares - ref_s)),
+                    np.max(np.abs(ev.jacobian - ref_j)) / np.max(np.abs(ref_j)),
+                )
+                worst = np.maximum(worst, np.array(errors) / self.EPS)
+        assert np.all(worst <= self.BOUNDS[points]), worst
+
+
 class TestCachedUtilities:
-    """evaluate works on the (J, n) utilities z nu' that the market caches."""
+    """evaluate works on the (J, n) utilities z nu' that the market caches, and
+    on the table E = exp(z nu') wherever max|z nu'| + max|x| <= 700 - log(J + 1)."""
 
     @staticmethod
     def instance():
@@ -211,6 +271,64 @@ class TestCachedUtilities:
         assert abs(ev.welfare - ref_w) <= 1e-13 * max(1.0, abs(ref_w))
         assert np.max(np.abs(ev.shares - ref_s)) <= 1e-13
         assert np.max(np.abs(ev.jacobian - ref_j)) <= 1e-13
+
+    @staticmethod
+    def room(market):
+        """The largest max|x| the table serves: 700 - log(J + 1) - max|z nu'|."""
+        return 700.0 - float(np.log(market.J + 1.0) + np.abs(market._zn).max())
+
+    def test_table_read_only_and_unchanged(self):
+        market, x_star, _ = self.instance()
+        table, cache = market._exp, market._zn
+        assert table.shape == (market.J, market.n) and table.flags.c_contiguous
+        assert not table.flags.writeable
+        assert np.array_equal(table, np.exp(cache))
+        before = table.copy(), cache.copy()
+        assert np.abs(x_star + 0.3).max() <= self.room(market) < np.abs(x_star + 800.0).max()
+        for offset in (0.3, 800.0):  # the table's side of the guard, then the shifted side
+            market.evaluate(x_star + offset)
+            market.evaluate(x_star + offset, want_jacobian=True)
+        assert np.array_equal(table, before[0]) and np.array_equal(cache, before[1])
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_each_side_of_the_guard_matches_reference_loop(self, side):
+        market, _, _ = di.make_logit_instance(5, 2, 30, seed=3)
+        room = self.room(market)
+        top = room if side == "inside" else np.nextafter(room, np.inf)
+        x = top - 0.5 * np.arange(market.J)  # max|x| is top
+        # poison the cache the other side reads, so a wrong side shows as NaN
+        poisoned = di.LogitMarket(z=market.z, nu=market.nu, beta=market.beta)
+        other = "_zn" if side == "inside" else "_exp"
+        object.__setattr__(poisoned, other, np.full((market.J, market.n), np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = market.evaluate(x, want_jacobian=True)
+            ev_poisoned = poisoned.evaluate(x, want_jacobian=True)
+            assert ev_poisoned.welfare == ev.welfare
+        assert np.array_equal(ev_poisoned.shares, ev.shares)
+        assert np.array_equal(ev_poisoned.jacobian, ev.jacobian)
+        assert_matches_reference_loop(market, x, ev)
+
+    def test_many_products_near_the_room_do_not_overflow(self):
+        # without the log(J + 1) headroom, 20,000 numerators of e^699.95 would
+        # sum past the largest double
+        J, x = 20_000, 699.95
+        market = zero_z_market(J, n=1, M=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = market.evaluate(np.full(J, x))
+            welfare = ev.welfare
+        assert_allclose(ev.shares, 1.0 / (J + np.exp(-x)), rtol=1e-14, atol=0)
+        assert_allclose(welfare, x + np.log(J) + di.EULER_GAMMA, rtol=1e-15, atol=0)
+
+    def test_no_table_where_utilities_leave_no_room(self):
+        market = di.LogitMarket(z=[[699.0], [0.0]], nu=[[1.0]], beta=[1.0])
+        assert market._exp is None and self.room(market) < 0.0
+        x = np.array([0.5, -0.5])
+        ev = market.evaluate(x, want_jacobian=True)
+        assert_matches_reference_loop(market, x, ev)
 
 
 class TestInstanceConstruction:

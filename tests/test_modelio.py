@@ -36,19 +36,19 @@ SAVED_MODEL_SHA256 = {
 # sha256 of the bytes save_truth writes for the x* = z beta and sigma* of the same
 # instances; together with the model files they pin everything a maker returns.
 SAVED_TRUTH_SHA256 = {
-    "logit": "f61937e0347be7ca784846ec20e2fe66c35a2e6cbc297b1a99e516ad4f40a210",
+    "logit": "9b81c1fa43022555e5f3d73d260e28e8b91aede7170db08800a864a457f32b74",
     "purechar": "ce9d4aeca2df98c347ad7097b479d11edd6a2b9d4f9436f7f9fd67eab17d6e1a",
 }
 
 # sha256 of the bytes write_trace_csv writes for TestTraceCSV's seeded logit suite;
 # runs are compared through their trace files, so the format must not drift.
-SAVED_TRACE_SHA256 = "916ea6521f1068aaf275d2aa41e33b8e15734363e20c8e38af30df26c5dca7fa"
+SAVED_TRACE_SHA256 = "c1a3d5e24523b5bb2f41dbcd89b29e97c689e92190d776c16ec5e57f69214a1e"
 
 # sha256 of the report files simulate writes next to trace.csv, for
 # TestReportBytes' two seeded suites; the purechar suite has one failed run.
 SAVED_REPORT_SHA256 = {
-    ("logit", "bands.json"): "c812fd0dea77d9bf4c5543737633dcdf9bf2394f33994694419fa331f95b44ac",
-    ("logit", "degeneracy.json"): "cdfc4b62f4e85b1b035dd5767ceda4218e9fe1c5ef07a48edc5b3ba5a7ed5650",
+    ("logit", "bands.json"): "7a5ad269af3593678096c90b6e75a844da528509cb28eebb7263c196754abf8b",
+    ("logit", "degeneracy.json"): "9d505c6f1a8f64aa824b3c42501445ec1f5e4443f3124867fc14a7101bcdb385",
     ("logit", "manifest.json"): "e114a8e434dcf04e2d6c8d44dfb3c009c8a8e16826eefba441f553ce1b9eeef2",
     ("purechar", "bands.json"): "ecf49a780ff795093c2b7412ed42e75b9d9417d07221ad036d02c34376cfd852",
     ("purechar", "degeneracy.json"): "c6d60b5e226a34aafd0af39b698bc3b3ca11091527179c8bed5d159d650a8ada",

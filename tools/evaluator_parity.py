@@ -18,12 +18,20 @@ sizes (J 1-15, M from the family's smallest to 5, n 1-399), with integer and
 SeedSequence seeds in turn, and compares z, the draws, beta, x* and sigma*
 byte for byte. Each tree is imported in its own subprocess. Run it as
 
-    python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120]
+    python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120] [--ulps BOUND]
 
 where OLD_SRC and NEW_SRC are directories holding a `demandinv` package and
 --per-kind is the number of markets of each kind (logit is one kind) and of
 made instances per family. It prints one line per family and pass and exits 1
 when any evaluation or made instance differs.
+
+With --ulps, a difference counts only when it is larger than BOUND units in
+the last place: the largest gap is printed per family, pass and output, and
+the run exits 1 when one exceeds BOUND, or when one tree raises where the
+other does not. The logit evaluator's move onto its exp(z nu') table measured
+at most 10 ulps over the default markets (welfare 3, shares 6, Jacobian 10,
+the maker's sigma* 5), so `--ulps 32` is its stated bound; a change that keeps
+every bit passes with --ulps 0.
 """
 
 from __future__ import annotations
@@ -149,11 +157,58 @@ def dump(per_kind: int) -> dict:
     return out
 
 
+# The outputs of an evaluation record and of a maker record, in record order.
+OUTPUTS = {
+    "evaluations": ("welfare", "shares", "jacobian"),
+    "maker": ("z", "draws", "beta", "x_star", "sigma_star"),
+}
+
+
+def ulps(a: bytes, b: bytes) -> int:
+    """The largest gap in units in the last place between two equally long
+    float64 arrays given as bytes; +0.0 and -0.0 are 0 apart."""
+    import numpy as np
+
+    lines = []
+    for raw in (a, b):
+        bits = np.frombuffer(raw, dtype=np.int64).tolist()
+        lines.append([i if i >= 0 else -(1 << 63) - i for i in bits])  # monotone in the value
+    return max((abs(i - j) for i, j in zip(*lines)), default=0)
+
+
+def ulp_gaps(a: list, b: list, names: tuple) -> tuple[dict, int]:
+    """Per output name, the largest gap in ulps between paired records, and the
+    number of pairs where one tree raised or a shape differs."""
+    gaps = dict.fromkeys(names, 0)
+    mismatched = 0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        if isinstance(x[0], str) or isinstance(y[0], str):  # an exception on either side
+            mismatched += 1
+            continue
+        for name, u, v in zip(names, x, y):
+            if isinstance(u, tuple):  # a maker's (shape, bytes)
+                if u[0] != v[0]:
+                    mismatched += 1
+                    continue
+                u, v = u[1], v[1]
+            if len(u) != len(v):
+                mismatched += 1
+                continue
+            gaps[name] = max(gaps[name], ulps(u, v))
+    return gaps, mismatched
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--per-kind", type=int, default=120)
+    parser.add_argument(
+        "--ulps", type=int, default=None, metavar="BOUND",
+        help="compare in units in the last place against BOUND",
+    )
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
@@ -166,17 +221,24 @@ def main() -> int:
         runs.append(pickle.loads(subprocess.run(cmd, stdout=subprocess.PIPE, check=True).stdout))
     old, new = runs
     bad = False
-    for family, kinds in (("logit", 1), ("purechar", len(KINDS))):
-        a, b = old[family], new[family]
+    for key in ("logit", "purechar", "logit maker", "purechar maker"):
+        a, b = old[key], new[key]
         differ = sum(x != y for x, y in zip(a, b))
-        markets = kinds * args.per_kind
-        print(f"{family}: {markets} markets, {len(a)} evaluations, {differ} differ bitwise")
-        bad |= differ > 0 or len(a) != len(b)
-    for family in MAKERS:
-        a, b = old[f"{family} maker"], new[f"{family} maker"]
-        differ = sum(x != y for x, y in zip(a, b))
-        print(f"{family} maker: {len(a)} instances, {differ} differ bitwise")
-        bad |= differ > 0 or len(a) != len(b)
+        if key.endswith("maker"):
+            what, line = "maker", f"{key}: {len(a)} instances"
+        else:
+            markets = (1 if key == "logit" else len(KINDS)) * args.per_kind
+            what, line = "evaluations", f"{key}: {markets} markets, {len(a)} evaluations"
+        line += f", {differ} differ bitwise"
+        bad |= len(a) != len(b)
+        if args.ulps is None:
+            bad |= differ > 0
+        else:
+            gaps, mismatched = ulp_gaps(a, b, OUTPUTS[what])
+            worst = ", ".join(f"{name} {gap}" for name, gap in gaps.items())
+            line += f"; largest gap in ulps: {worst}; {mismatched} raise or change shape"
+            bad |= mismatched > 0 or max(gaps.values()) > args.ulps
+        print(line)
     return 1 if bad else 0
 
 
