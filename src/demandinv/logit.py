@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,58 +46,49 @@ class LogitMarket(SyntheticMarket):
         and optionally the share Jacobian accumulated in the same pass.
 
         Within the table's room (see __post_init__), consumer i's numerators
-        are E[:, i] e^x, so the denominators and shares are matrix-vector
-        products. Elsewhere overflow is guarded by a per-consumer shift of
-        max(0, max_q v_iq), so finite x never produces NaN; deeply negative
-        utilities underflow to exact zero shares.
+        are E[:, i] e^x. Elsewhere overflow is guarded by a per-consumer shift
+        of max(0, max_q v_iq): the numerators are exp(v - shift) and the
+        outside one exp(-shift), so finite x never produces NaN and deeply
+        negative utilities underflow to exact zero shares. Either way the
+        denominators and shares are the same two matrix-vector products.
         """
         x = as_mean_utility(x, self.J)
         if max(x.max(), -x.min()) <= self._room:
-            return _evaluate_table(self._exp, x, want_jacobian)
+            return _evaluate(self._exp, np.exp(x), 1.0, 0.0, want_jacobian)
         v = self._zn + x[:, None]  # (J, n) systematic utilities, a fresh array
-        n = v.shape[1]
         shift = v.max(axis=0, initial=0.0)
         v -= shift
         np.exp(v, out=v)
-        outside = np.exp(-shift)
-        denom = outside + v.sum(axis=0)
-
-        def welfare():  # on first read; shift and denom are never written again
-            return float((shift + np.log(denom)).sum() / n) + EULER_GAMMA
-
-        v /= denom  # (J, n) per-consumer choice probabilities
-        shares = v.sum(axis=1) / n
-        jac = _jacobian(v, outside / denom) if want_jacobian else None
-        return ModelEvaluation(welfare, shares, jac)
+        return _evaluate(v, np.ones(self.J), np.exp(-shift), shift, want_jacobian)
 
 
-def _evaluate_table(table, x, want_jacobian):
-    """LogitMarket.evaluate from the table E = exp(z nu'), unshifted."""
+def _evaluate(table, ex, base, shift, want_jacobian):
+    """LogitMarket.evaluate from consumer i's numerators table[:, i] * ex and
+    outside numerator base, each scaled by exp(-shift) (base and shift are
+    (n,) arrays or scalars); the welfare adds shift back. No argument is written."""
     n = table.shape[1]
-    ex = np.exp(x)
-    denom = 1.0 + ex @ table  # (n,) a fresh array, never written again
+    denom = base + ex @ table  # (n,) a fresh array, never written again
+    inv = 1.0 / denom
 
-    def welfare():
-        return float(np.log(denom).sum() / n) + EULER_GAMMA
+    def welfare():  # on first read; shift and denom are never written again
+        w = shift + np.log(denom)
+        mean = float(w.sum() / n)
+        # where the sum overflows, dividing first overflows only with the mean
+        return (mean if math.isfinite(mean) else float((w / n).sum())) + EULER_GAMMA
 
-    outside = 1.0 / denom  # (n,) outside-good probabilities
-    shares = ex * (table @ outside) / n
+    shares = ex * (table @ inv) / n
     jac = None
     if want_jacobian:
         p = table * ex[:, None]
-        p *= outside  # in place: a second (J, n) temporary would get the heap trimmed
-        jac = _jacobian(p, outside)
+        p *= inv  # in place: a second (J, n) temporary would get the heap trimmed
+        outside = base * inv  # (n,) outside-good probabilities
+        cross = p @ p.T
+        np.fill_diagonal(cross, 0.0)
+        # the diagonal p_j (p_0 + sum_{k != j} p_k) adds nonnegative terms, so it
+        # cannot cancel to 0 where p_j rounds to 1
+        np.fill_diagonal(cross, -(p @ outside + cross.sum(axis=1)))
+        jac = cross / -n
     return ModelEvaluation(welfare, shares, jac)
-
-
-def _jacobian(p, outside):
-    """The share Jacobian from (J, n) choice probabilities and the (n,) outside ones."""
-    cross = p @ p.T
-    np.fill_diagonal(cross, 0.0)
-    # the diagonal p_j (p_0 + sum_{k != j} p_k) adds nonnegative terms, so it
-    # cannot cancel to 0 where p_j rounds to 1
-    np.fill_diagonal(cross, -(p @ outside + cross.sum(axis=1)))
-    return cross / -p.shape[1]
 
 
 make_logit_instance = LogitMarket.draw

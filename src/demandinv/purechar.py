@@ -267,7 +267,10 @@ class PureCharMarket(SyntheticMarket):
 
         def welfare():  # on first read, when A may hold a later call's intercepts
             a = self._lines.ravel()[at] + xo[cs]  # A's add again, so A's bits
-            return float(np.sum(a * mass) + np.sum(pdf * db)) / n
+            am, pd = a * mass, pdf * db
+            mean = float(np.sum(am) + np.sum(pd)) / n
+            # where the sum overflows, dividing first overflows only with the mean
+            return mean if math.isfinite(mean) else float(np.sum(am / n) + np.sum(pd / n))
 
         jac = None
         if want_jacobian:

@@ -30,6 +30,7 @@ PINNED = "tests/test_solvers.py::test_pinned_solver_work"
 CONTRACT = "tests/test_solvers.py::TestSolverContractProperty"
 TIES = "tests/test_purechar.py::TestTiedSlopes"
 CLOSED_FORMS = "tests/test_purechar.py::TestClosedForms"
+PURECHAR_ACCURACY = "tests/test_purechar.py::TestAccuracy::test_round_off_within_bounds"
 GENERIC_SWEEP = (
     "tests/test_purechar.py::TestEvaluationPaths::test_sweep_matches_vectorized_on_generic_market"
 )
@@ -42,6 +43,7 @@ LOGIT_CACHED = "tests/test_logit.py::TestCachedUtilities"
 LOGIT_CACHE = f"{LOGIT_CACHED}::test_cache_read_only_and_unchanged"
 LOGIT_TABLE = f"{LOGIT_CACHED}::test_table_read_only_and_unchanged"
 LOGIT_ACCURACY = "tests/test_logit.py::TestAccuracy::test_round_off_within_bounds"
+LOGIT_GUARD = f"{LOGIT_CACHED}::test_each_side_of_the_guard_matches_reference_loop"
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
@@ -56,6 +58,7 @@ SYNTHETIC = "tests/test_core.py::TestSyntheticMarket"
 NAN_SHARES = "tests/test_solvers.py::TestSharedContract::test_nan_shares_raise"
 WELFARE_READS = "tests/test_solvers.py::TestWelfareReads"
 DEFERRED = "tests/test_core.py::TestDeferredWelfare"
+HUGE_WELFARE = f"{DEFERRED}::test_welfare_whose_sum_overflows_is_finite"
 REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
 MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
 VECTOR_FILE = "tests/test_cli.py::TestInvert::test_bad_vector_file_is_usage_error"
@@ -164,8 +167,8 @@ MUTANTS = [
     (
         "welfare drops the density term",
         "purechar.py",
-        "np.sum(pdf * db)",
-        "np.sum(0.0 * db)",
+        "pd = a * mass, pdf * db",
+        "pd = a * mass, 0.0 * db",
         ["tests/test_purechar.py::TestInvariants::test_gradient_is_shares"],
     ),
     (
@@ -204,6 +207,13 @@ MUTANTS = [
         ["tests/test_purechar.py::TestTiedSlopes::test_extreme_utilities_raise_no_warning"],
     ),
     (
+        "tail masses taken as 1 - Phi(|t|), which cancels",
+        "purechar.py",
+        "np.copysign(ndtr(s, out=s), t, out=s)",
+        "np.copysign(1.0 - ndtr(-s), t, out=s)",
+        [PURECHAR_ACCURACY],
+    ),
+    (
         "slope-range check removed",
         "purechar.py",
         "if not math.isfinite(float(slopes.max()) - float(slopes.min())):",
@@ -220,9 +230,37 @@ MUTANTS = [
     (
         "logit shift not added back to the log-sum",
         "logit.py",
-        "float((shift + np.log(denom)).sum() / n)",
-        "float(np.log(denom).sum() / n)",
-        [LOGIT_PROPERTY, f"{LOGIT_CACHED}::test_each_side_of_the_guard_matches_reference_loop"],
+        "w = shift + np.log(denom)",
+        "w = np.log(denom)",
+        [LOGIT_PROPERTY, LOGIT_GUARD],
+    ),
+    (
+        "fallback outside probability taken as 1/denom",
+        "logit.py",
+        "outside = base * inv",
+        "outside = inv",
+        [f"{LOGIT_ACCURACY}[beyond_room]", f"{LOGIT_GUARD}[outside]"],
+    ),
+    (
+        "fallback outside numerator dropped",
+        "logit.py",
+        "np.exp(-shift)",
+        "1.0",
+        [f"{LOGIT_ACCURACY}[beyond_room]", f"{LOGIT_GUARD}[outside]"],
+    ),
+    (
+        "logit welfare summed before dividing where the sum overflows",
+        "logit.py",
+        "float((w / n).sum())",
+        "float(w.sum() / n)",
+        [f"{HUGE_WELFARE}[1e+307-logit]"],
+    ),
+    (
+        "pure-characteristics welfare summed before dividing where the sum overflows",
+        "purechar.py",
+        "float(np.sum(am / n) + np.sum(pd / n))",
+        "float(np.sum(am) + np.sum(pd)) / n",
+        [f"{HUGE_WELFARE}[1e+307-purechar]"],
     ),
     (
         "Jacobian diagonal as shares - mean(p²)",
@@ -369,7 +407,7 @@ MUTANTS = [
         "if True:\n                welfare = _finite_welfare(welfare())",
         [
             f"{DEFERRED}::test_overflowing_welfare_raises_on_read_without_warning",
-            "tests/test_cli.py::TestInvert::test_overflowing_welfare_is_one_line_usage_error",
+            "tests/test_cli.py::TestInvert::test_convex_tr_from_overflowing_start_is_valid_run",
         ],
     ),
     (

@@ -5,7 +5,8 @@ per-consumer Python loops, raw choice simulation, and grid argmax. The only
 library code an oracle uses is the public `upper_envelope` in the
 pure-characteristics sweep, and that is checked against grid argmax on its
 own. Slow and simple on purpose. `logit_decimal_reference` carries the logit
-formulas at 40 significant digits, so it measures the library's round-off.
+formulas at 40 significant digits, and `purechar_mpmath_reference` the
+pure-characteristics ones, so they measure the library's round-off.
 `cauchy_reduction` is the decrease every trust-region step must at least
 reach, `floored_step` takes the solvers' trial step in the coordinates of its
 inputs, and `read_trace_csv` reads back the trace files the library writes.
@@ -261,6 +262,70 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
                 flux[q, p] -= w
     jac = flux[:J, :J] / n if want_jacobian else None
     return welfare / n, width[:J] / n, jac
+
+
+def purechar_mpmath_reference(z, nu_rest, x, digits=40):
+    """Pure-characteristics welfare, shares and Jacobian carried at `digits`
+    significant digits with mpmath, one consumer at a time, and rounded to
+    doubles at the end.
+
+    Consumer i's lines a_j + b_j t are formed from the exact values of the
+    doubles, with the outside good's zero line. The envelope is found by brute
+    force: every pairwise crossing is a candidate breakpoint, and between two
+    consecutive ones the highest line owns the interval, ties going to the
+    lowest product index and never to the outside good. Each segment's normal
+    mass is taken on its tail side, the welfare is the normal moment of the
+    envelope, and each breakpoint t between segments p and q adds
+    phi(t) / (b_q - b_p) times (e_p - e_q)(e_p - e_q)' to the Jacobian.
+    Returns (welfare, shares, jacobian).
+    """
+    import mpmath
+
+    z = np.asarray(z, float).tolist()
+    nu_rest = np.asarray(nu_rest, float).tolist()
+    x = np.asarray(x, float).tolist()
+    J, n = len(z), len(nu_rest)
+    with mpmath.workdps(digits):
+        mpf = mpmath.mpf
+        # the outside good is line J, which the key -j ranks after every product
+        b = [mpf(row[0]) for row in z] + [mpf(0)]
+        welfare = mpf(0)
+        width = [mpf(0)] * (J + 1)
+        flux = [[mpf(0)] * (J + 1) for _ in range(J + 1)]
+        for row in nu_rest:
+            a = [mpf(x[j]) + mpmath.fsum(mpf(c) * mpf(v) for c, v in zip(z[j][1:], row))
+                 for j in range(J)] + [mpf(0)]
+            ts = sorted({(a[p] - a[q]) / (b[q] - b[p])
+                         for p in range(J + 1) for q in range(p) if b[p] != b[q]})
+            bounds = [-mpmath.inf, *ts, mpmath.inf]
+            # one probe inside each interval between consecutive bounds
+            probes = [(lo + hi) / 2 for lo, hi in zip(ts, ts[1:])]
+            probes = [ts[0] - 1, *probes, ts[-1] + 1] if ts else [mpf(0)]
+            segs = []  # (owner, lower, upper), merged where one owner continues
+            for k, t in enumerate(probes):
+                owner = max(range(J + 1), key=lambda j: (a[j] + b[j] * t, -j))
+                if segs and segs[-1][0] == owner:
+                    segs[-1][2] = bounds[k + 1]
+                else:
+                    segs.append([owner, bounds[k], bounds[k + 1]])
+            for s, (owner, lo, hi) in enumerate(segs):
+                # the mass on its tail side: 1 - ncdf(lo) would cancel for lo > 0
+                left, right = (-hi, -lo) if lo > 0 else (lo, hi)
+                mass = mpmath.ncdf(right) - mpmath.ncdf(left)
+                width[owner] += mass
+                welfare += a[owner] * mass + b[owner] * (mpmath.npdf(lo) - mpmath.npdf(hi))
+                if s > 0:
+                    p = segs[s - 1][0]
+                    w = mpmath.npdf(lo) / (b[owner] - b[p])
+                    flux[p][p] += w
+                    flux[owner][owner] += w
+                    flux[p][owner] -= w
+                    flux[owner][p] -= w
+        return (
+            float(welfare / n),
+            np.array([float(w / n) for w in width[:J]]),
+            np.array([[float(v / n) for v in row[:J]] for row in flux[:J]]),
+        )
 
 
 def cauchy_reduction(g, B, radius) -> float:

@@ -308,11 +308,24 @@ class TestDeferredWelfare:
         assert len(calls) == 1
 
     def test_overflowing_welfare_raises_on_read_without_warning(self, family):
-        market, _ = self.market(family)
+        # a deferred welfare whose sum overflows a double: each read raises,
+        # and numpy's overflow warning stays quiet
+        market, x = self.market(family)
+        shares = market.evaluate(x).shares
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ev = market.evaluate(np.full(market.J, 1.79e308), want_jacobian=True)
-            assert np.isfinite(ev.shares).all() and np.isfinite(ev.jacobian).all()
+            ev = di.ModelEvaluation(lambda: float(np.full(market.n, 1e308).sum()), shares)
             for _ in range(2):
                 with pytest.raises(di.InvalidInputError, match="welfare must be finite"):
                     ev.welfare
+
+    @pytest.mark.parametrize("level", [1e307, 1.79e308])
+    def test_welfare_whose_sum_overflows_is_finite(self, family, level):
+        # n per-consumer values near `level` sum past the largest double, but
+        # their mean, the welfare, does not
+        market, _ = self.market(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = market.evaluate(np.full(market.J, level), want_jacobian=True)
+            assert np.isfinite(ev.shares).all() and np.isfinite(ev.jacobian).all()
+            assert ev.welfare == pytest.approx(level, rel=1e-14)

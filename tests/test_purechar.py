@@ -1,7 +1,8 @@
-"""Pure-characteristics evaluator: closed forms, tail accuracy, the slope
-negation and gradient = shares invariants, Monte Carlo equivalence, quadrature
-cross-checks, and agreement with the per-consumer sweep oracle on generic and
-tied slopes, and the evaluator's per-thread working arrays."""
+"""Pure-characteristics evaluator: closed forms, tail accuracy, round-off
+against a 40-digit reference, the slope negation and gradient = shares
+invariants, Monte Carlo equivalence, quadrature cross-checks, and agreement
+with the per-consumer sweep oracle on generic and tied slopes, and the
+evaluator's per-thread working arrays."""
 
 import sys
 import threading
@@ -20,6 +21,7 @@ from oracles import (
     finite_difference_gradient,
     mc_purechar_shares,
     mc_standard_errors,
+    purechar_mpmath_reference,
     purechar_share_quadrature,
     purechar_sweep_reference,
 )
@@ -306,6 +308,63 @@ class TestAgainstOracles:
             market, x_star, sigma_star = di.make_purechar_instance(5, 3, 25, seed=seed)
             approx = purechar_share_quadrature(market.z, market.nu_rest, x_star)
             assert np.max(np.abs(approx - sigma_star)) < 1e-3
+
+
+class TestAccuracy:
+    """Round-off against the 40-digit mpmath reference on seeded small markets
+    (J <= 5, M <= 3, n <= 20) at x = scale * Uniform[-1, 1]^J for scales 1
+    and 3, in units of eps = 2^-52.
+
+    Shares are measured relative to each share the reference finds nonzero
+    and absolutely, the welfare relative to max(1, |W|), the Jacobian
+    relative to its largest entry. A share or Jacobian the reference finds
+    zero must be exactly zero. The largest errors over these markets were:
+
+    - generic normal slopes: welfare 1.23, shares 457 relative and 1.0
+      absolute, Jacobian 18.1. The 457 is a share of 2.2e-307, the tail
+      beyond a breakpoint near t = 37.5; rounding the lines' intercepts to
+      doubles moves that breakpoint, and the tail's relative change is t
+      times the move;
+    - slopes tied on a 0.5 grid: welfare 1.0, shares 66.9 relative (a share
+      of 2.6e-26) and 0.5 absolute, Jacobian 1.8.
+
+    The bounds below leave room over both.
+    """
+
+    EPS = np.finfo(float).eps
+    TINY = np.finfo(float).tiny
+    BOUNDS = {  # welfare, shares relative, shares absolute, Jacobian
+        "generic": (3.0, 640.0, 3.0, 32.0),
+        "grid": (3.0, 128.0, 3.0, 8.0),
+    }
+
+    @pytest.mark.parametrize("slopes", sorted(BOUNDS))
+    def test_round_off_within_bounds(self, slopes):
+        worst = np.zeros(4)
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 11])
+            J, M, n = int(rng.integers(1, 6)), int(rng.integers(2, 4)), int(rng.integers(1, 21))
+            z = rng.standard_normal((J, M))
+            if slopes == "grid":
+                z[:, 0] = 0.5 * rng.integers(-4, 5, J)
+            market = di.PureCharMarket(
+                z=z, nu_rest=rng.standard_normal((n, M - 1)), beta=np.ones(M)
+            )
+            for scale in (1.0, 3.0):
+                x = scale * rng.uniform(-1.0, 1.0, J)
+                ev = market.evaluate(x, want_jacobian=True)
+                ref_w, ref_s, ref_j = purechar_mpmath_reference(market.z, market.nu_rest, x)
+                live = ref_s > 0.0
+                assert np.all(ev.shares[~live] == 0.0), (seed, scale)
+                errors = (
+                    abs(ev.welfare - ref_w) / max(1.0, abs(ref_w)),
+                    np.max(np.abs(ev.shares - ref_s)[live] / ref_s[live], initial=0.0),
+                    np.max(np.abs(ev.shares - ref_s)),
+                    # a market without breakpoints has a zero Jacobian, exactly
+                    np.max(np.abs(ev.jacobian - ref_j)) / np.max(np.abs(ref_j), initial=self.TINY),
+                )
+                worst = np.maximum(worst, np.array(errors) / self.EPS)
+        assert np.all(worst <= self.BOUNDS[slopes]), worst
 
 
 class TestEvaluationPaths:

@@ -18,20 +18,20 @@ sizes (J 1-15, M from the family's smallest to 5, n 1-399), with integer and
 SeedSequence seeds in turn, and compares z, the draws, beta, x* and sigma*
 byte for byte. Each tree is imported in its own subprocess. Run it as
 
-    python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120] [--ulps BOUND]
+    python tools/evaluator_parity.py OLD_SRC NEW_SRC [--per-kind 120] [--ulps 0]
 
 where OLD_SRC and NEW_SRC are directories holding a `demandinv` package and
 --per-kind is the number of markets of each kind (logit is one kind) and of
-made instances per family. It prints one line per family and pass and exits 1
-when any evaluation or made instance differs.
-
-With --ulps, a difference counts only when it is larger than BOUND units in
-the last place: the largest gap is printed per family, pass and output, and
-the run exits 1 when one exceeds BOUND, or when one tree raises where the
-other does not. The logit evaluator's move onto its exp(z nu') table measured
-at most 10 ulps over the default markets (welfare 3, shares 6, Jacobian 10,
-the maker's sigma* 5), so `--ulps 32` is its stated bound; a change that keeps
-every bit passes with --ulps 0.
+made instances per family. It prints one line per family and pass, with the
+number of evaluations or made instances that differ bitwise and the largest
+gap in units in the last place per output. It exits 1 when a gap exceeds
+--ulps, or when one tree raises where the other does not, raises another
+error, or gives another shape. Every distinct pair of doubles is at least 1
+ulp apart, +0.0 and -0.0 included, so the default --ulps 0 fails exactly
+when an output differs in any bit. The logit evaluator's move onto its
+exp(z nu') table measured at most 10 ulps over the default markets (welfare
+3, shares 6, Jacobian 10, the maker's sigma* 5), so `--ulps 32` was its stated
+bound; its shifted fallback's move onto the table's arithmetic measured 1.
 """
 
 from __future__ import annotations
@@ -166,13 +166,13 @@ OUTPUTS = {
 
 def ulps(a: bytes, b: bytes) -> int:
     """The largest gap in units in the last place between two equally long
-    float64 arrays given as bytes; +0.0 and -0.0 are 0 apart."""
+    float64 arrays given as bytes; +0.0 and -0.0 are 1 apart."""
     import numpy as np
 
     lines = []
     for raw in (a, b):
         bits = np.frombuffer(raw, dtype=np.int64).tolist()
-        lines.append([i if i >= 0 else -(1 << 63) - i for i in bits])  # monotone in the value
+        lines.append([i if i >= 0 else -(1 << 63) - 1 - i for i in bits])  # monotone, -0.0 is -1
     return max((abs(i - j) for i, j in zip(*lines)), default=0)
 
 
@@ -206,8 +206,8 @@ def main() -> int:
     parser.add_argument("new_src")
     parser.add_argument("--per-kind", type=int, default=120)
     parser.add_argument(
-        "--ulps", type=int, default=None, metavar="BOUND",
-        help="compare in units in the last place against BOUND",
+        "--ulps", type=int, default=0, metavar="BOUND",
+        help="largest gap allowed, in units in the last place",
     )
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -230,14 +230,10 @@ def main() -> int:
             markets = (1 if key == "logit" else len(KINDS)) * args.per_kind
             what, line = "evaluations", f"{key}: {markets} markets, {len(a)} evaluations"
         line += f", {differ} differ bitwise"
-        bad |= len(a) != len(b)
-        if args.ulps is None:
-            bad |= differ > 0
-        else:
-            gaps, mismatched = ulp_gaps(a, b, OUTPUTS[what])
-            worst = ", ".join(f"{name} {gap}" for name, gap in gaps.items())
-            line += f"; largest gap in ulps: {worst}; {mismatched} raise or change shape"
-            bad |= mismatched > 0 or max(gaps.values()) > args.ulps
+        gaps, mismatched = ulp_gaps(a, b, OUTPUTS[what])
+        worst = ", ".join(f"{name} {gap}" for name, gap in gaps.items())
+        line += f"; largest gap in ulps: {worst}; {mismatched} raise or change shape"
+        bad |= len(a) != len(b) or mismatched > 0 or max(gaps.values()) > args.ulps
         print(line)
     return 1 if bad else 0
 
