@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 IO failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -76,8 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
         "perturbation of that Euclidean norm; default is the zero vector",
     )
     inv.add_argument("--x0-seed", type=int, default=0, help="seed for the truth+delta direction")
-    inv.add_argument("--tol", type=float, default=None, help="stopping tolerance on max share error")
-    inv.add_argument("--max-iter", type=int, default=None)
+    inv.add_argument(
+        "--tol",
+        type=float,
+        default=SolverConfig.gradient_tolerance,
+        help="stopping tolerance on max share error",
+    )
+    inv.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     inv.add_argument("--out", required=True, help="result JSON path; trace CSV lands next to it")
     inv.set_defaults(func=cmd_invert)
 
@@ -99,7 +105,9 @@ def cmd_generate(args) -> int:
 
 
 def _parse_shares(text: str):
-    if Path(text).exists():
+    # os.path.exists, unlike Path.exists, is False for a name too long to be a
+    # file, so an inline list may be any length
+    if os.path.exists(text):
         missing = "shares file needs a 'shares' or 'sigma_star' key"
         return load_vector(text, ("shares", "sigma_star"), missing)
     try:
@@ -128,12 +136,7 @@ def cmd_invert(args) -> int:
     market = load_model(args.model)
     target = _parse_shares(args.shares)
     x0 = _parse_x0(args.x0, args.model, args.x0_seed)
-    overrides = {}
-    if args.tol is not None:
-        overrides["gradient_tolerance"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iterations"] = args.max_iter
-    cfg = SolverConfig(**overrides)
+    cfg = SolverConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
     result = invert(market, target, args.method, x0, cfg)
     out = Path(args.out)
     trace = out.with_suffix(".trace.csv")

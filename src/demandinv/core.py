@@ -23,10 +23,12 @@ class UnsupportedTargetError(InvalidInputError):
 
 
 def as_float_array(value, name: str) -> np.ndarray:
-    """np.asarray(value, dtype=float), raising InvalidInputError for strings
-    and ragged nesting."""
+    """np.asarray(value, dtype=float), raising InvalidInputError for strings,
+    ragged nesting and integers beyond the range of a double."""
     try:
         return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise InvalidInputError(f"{name} has an integer too large for a double") from None
     except (TypeError, ValueError):
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
 

@@ -25,6 +25,12 @@ FAMILIES = {"logit": LogitMarket, "purechar": PureCharMarket}
 # A target coordinate (inside or outside share) below this counts as degenerate.
 DEGENERACY_THRESHOLD = 1e-14
 
+# Most replications one suite may run, 100 times the largest shipped suite. A
+# suite holds every replication's result until it is written: 6-12 KB each on
+# the shipped specs, 26 KB with 500 trials that never converge, so at most a few
+# hundred MB.
+MAX_REPLICATIONS = 10_000
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -46,6 +52,8 @@ class ExperimentSpec:
         check_market_size(self.J, self.M, self.n, min_M=FAMILIES[self.model_family].FIXED + 1)
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
+        if self.replications > MAX_REPLICATIONS:
+            raise InvalidInputError(f"replications must be <= {MAX_REPLICATIONS}")
         if not 0 <= self.delta_norm < math.inf:
             raise InvalidInputError("delta_norm must be finite and >= 0")
         if self.master_seed < 0:

@@ -32,9 +32,6 @@ TRACE_COLUMNS = (
     "evaluations",
 )
 
-_MODEL_KEYS = {"family", "J", "M", "n", "beta", "z", "nu", "seed"}
-
-
 def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -48,27 +45,6 @@ def read_json(path):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad bytes or syntax, deep nesting, long int
             raise InvalidInputError(f"invalid JSON: {path}: {exc}") from None
-
-
-def _require(doc: dict, keys, what: str) -> None:
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise InvalidInputError(f"{what} is missing keys: {', '.join(missing)}")
-
-
-def _reject_unknown(doc: dict, allowed, what: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise InvalidInputError(f"{what} has unknown keys: {', '.join(unknown)}")
-
-
-def _typed(doc: dict, key: str, what: str, expected: str, valid):
-    """doc[key], or InvalidInputError unless valid(doc[key]); JSON booleans
-    never count as numbers."""
-    value = doc[key]
-    if isinstance(value, bool) or not valid(value):
-        raise InvalidInputError(f"{what}: {key!r} must be {expected}, got {value!r:.40}")
-    return value
 
 
 # The JSON value each field type accepts: (what it must be, the check).
@@ -97,11 +73,16 @@ def _numbers(value, name: str) -> np.ndarray:
 
 
 def _field(doc: dict, key: str, kind, what: str):
-    """doc[key] checked against _KINDS and converted to `kind`, or a nested dataclass."""
+    """doc[key] checked against _KINDS and converted to `kind`, an array of
+    numbers, or a nested dataclass; JSON booleans never count as numbers."""
     if dataclasses.is_dataclass(kind):
         return _from_doc(kind, doc[key], f"{what} {key}")
+    value = doc[key]
+    if kind is np.ndarray:
+        return _numbers(value, f"{what}: {key!r}")
     expected, valid = _KINDS[kind]
-    value = _typed(doc, key, what, expected, valid)
+    if isinstance(value, bool) or not valid(value):
+        raise InvalidInputError(f"{what}: {key!r} must be {expected}, got {value!r:.40}")
     try:
         return kind(value)
     except OverflowError:  # a JSON integer beyond the range of a double
@@ -110,14 +91,18 @@ def _field(doc: dict, key: str, kind, what: str):
 
 def _from_doc(cls, doc, what: str):
     """A `cls` dataclass from a JSON object keyed by its field names; unknown keys,
-    missing fields without a default and mistyped values raise InvalidInputError."""
+    missing fields without a default and mistyped values raise InvalidInputError,
+    the values checked in the object's key order."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must hold a JSON object")
     fields = dataclasses.fields(cls)
-    missing = dataclasses.MISSING
-    required = [f.name for f in fields if f.default is missing and f.default_factory is missing]
-    _require(doc, required, what)
-    _reject_unknown(doc, [f.name for f in fields], what)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise InvalidInputError(f"{what} is missing keys: {', '.join(missing)}")
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    if unknown:
+        raise InvalidInputError(f"{what} has unknown keys: {', '.join(unknown)}")
     kinds = typing.get_type_hints(cls)
     return cls(**{key: _field(doc, key, kinds[key], what) for key in doc})
 
@@ -144,22 +129,30 @@ def model_to_dict(market, seed=None) -> dict:
     return doc
 
 
+@dataclasses.dataclass(frozen=True)
+class _ModelFile:
+    """A model file's keys, in the order model_to_dict writes them."""
+
+    family: str
+    J: int
+    M: int
+    n: int
+    beta: np.ndarray
+    z: np.ndarray
+    nu: np.ndarray
+    seed: int = 0
+
+
 def market_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise InvalidInputError("model file must hold a JSON object")
-    _require(doc, ("family", "J", "M", "n", "beta", "z", "nu"), "model file")
-    _reject_unknown(doc, _MODEL_KEYS, "model file")
-    family = _field(doc, "family", str, "model file")
-    J, M, n = (_field(doc, key, int, "model file") for key in ("J", "M", "n"))
-    if "seed" in doc and _field(doc, "seed", int, "model file") < 0:
-        raise InvalidInputError(f"model file: 'seed' must be non-negative, got {doc['seed']}")
-    z, nu, beta = (_numbers(doc[key], f"model file: {key!r}") for key in ("z", "nu", "beta"))
-    if family not in FAMILIES:
-        raise InvalidInputError(f"unknown model family {family!r}")
-    market = FAMILIES[family](z, nu, beta)
-    shape = (market.J, market.M, market.n)
-    if shape != (J, M, n):
-        raise InvalidInputError(f"arrays have shape (J, M, n) = {shape}, expected {(J, M, n)}")
+    model = _from_doc(_ModelFile, doc, "model file")
+    if model.seed < 0:
+        raise InvalidInputError(f"model file: 'seed' must be non-negative, got {model.seed}")
+    if model.family not in FAMILIES:
+        raise InvalidInputError(f"unknown model family {model.family!r}")
+    market = FAMILIES[model.family](model.z, model.nu, model.beta)
+    shape, expected = (market.J, market.M, market.n), (model.J, model.M, model.n)
+    if shape != expected:
+        raise InvalidInputError(f"arrays have shape (J, M, n) = {shape}, expected {expected}")
     return market
 
 
@@ -185,13 +178,17 @@ def save_truth(path, x_star, sigma_star) -> None:
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _TruthFile:
+    """A truth sidecar's keys, as save_truth writes them."""
+
+    x_star: np.ndarray
+    sigma_star: np.ndarray
+
+
 def load_truth(path):
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise InvalidInputError("truth file must hold a JSON object")
-    _require(doc, ("x_star", "sigma_star"), "truth file")
-    x_star, sigma_star = (_numbers(doc[k], f"truth file: {k!r}") for k in ("x_star", "sigma_star"))
-    return as_mean_utility(x_star), as_share_vector(sigma_star)
+    truth = _from_doc(_TruthFile, read_json(path), "truth file")
+    return as_mean_utility(truth.x_star), as_share_vector(truth.sigma_star)
 
 
 def load_vector(path, keys, missing: str):

@@ -63,6 +63,11 @@ REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
 MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
 VECTOR_FILE = "tests/test_cli.py::TestInvert::test_bad_vector_file_is_usage_error"
 NON_NUMBER = "tests/test_cli.py::TestInvert::test_non_number_entries_are_usage_error"
+HUGE_ENTRY = "tests/test_cli.py::TestInvert::test_huge_integer_entry_is_usage_error"
+TRUTH_UNKNOWN = [
+    "tests/test_cli.py::TestInvert::test_truth_file_unknown_key_is_usage_error",
+    "tests/test_modelio.py::TestTruthAndShares::test_truth_unknown_keys_rejected",
+]
 
 # (name, file under src/demandinv, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -520,9 +525,41 @@ MUTANTS = [
     (
         "model file seed unchecked",
         "modelio.py",
-        'if "seed" in doc and _field(doc, "seed", int, "model file") < 0:',
+        "if model.seed < 0:",
         "if False:",
-        [f"{MISTYPED_MODEL}[seed_string]", f"{MISTYPED_MODEL}[seed_negative]"],
+        [f"{MISTYPED_MODEL}[seed_negative]"],
+    ),
+    (
+        "truth file keys other than its two dropped before the read",
+        "modelio.py",
+        'truth = _from_doc(_TruthFile, read_json(path), "truth file")',
+        'doc = {k: v for k, v in read_json(path).items() if k in ("x_star", "sigma_star")}\n'
+        '    truth = _from_doc(_TruthFile, doc, "truth file")',
+        TRUTH_UNKNOWN,
+    ),
+    (
+        "an integer beyond a double raises past as_float_array",
+        "core.py",
+        "    except OverflowError:\n        raise InvalidInputError(f\"{name} has an integer",
+        "    except ZeroDivisionError:\n        raise InvalidInputError(f\"{name} has an integer",
+        [HUGE_ENTRY],
+    ),
+    (
+        "an inline share list looked up as a file name first",
+        "cli.py",
+        "if os.path.exists(text):",
+        "if Path(text).exists():",
+        ["tests/test_cli.py::TestInvert::test_long_inline_share_list"],
+    ),
+    (
+        "replication count uncapped",
+        "harness.py",
+        "if self.replications > MAX_REPLICATIONS:",
+        "if False:",
+        [
+            "tests/test_harness.py::TestExperimentSpec::test_replication_count_capped",
+            "tests/test_cli.py::TestSimulate::test_replication_count_beyond_cap_is_usage_error",
+        ],
     ),
     (
         "booleans accepted as integers",
@@ -574,11 +611,11 @@ MUTANTS = [
         [f"{SYNTHETIC}::test_invalid_market_rejected[purechar-fixed_beta_not_one]"],
     ),
     (
-        "model file family looked up without the string check",
+        "JSON values of any type read as strings",
         "modelio.py",
-        'family = _field(doc, "family", str, "model file")',
-        'family = doc["family"]',
-        [f"{MISTYPED_MODEL}[family_list]"],
+        'str: ("a string", lambda v: isinstance(v, str)),',
+        'str: ("a string", lambda v: True),',
+        [f"{MISTYPED_MODEL}[family_list]", f"{MISTYPED_SPEC}[model_family_number]"],
     ),
     (
         "floor without the relative term",

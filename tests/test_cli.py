@@ -1,21 +1,39 @@
 """Command line driver: file formats, exit codes, and reproducibility,
 exercised in process through main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import demandinv as di
-from demandinv import modelio
+from demandinv import cli, modelio
 from demandinv.cli import EXIT_IO, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 from oracles import read_trace_csv
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def suite_never_started(spec):
+    raise AssertionError(f"a suite of {spec.replications} replications was started")
+
+
+def small_suite(spec):
+    """run_suite for a suite no larger than the fuzz's valid spec; a larger one
+    is never started."""
+    return di.run_suite(spec) if spec.replications <= 2 else suite_never_started(spec)
 
 
 def generate(tmp_path, family="logit", J=3, M=2, n=12, seed=3):
@@ -505,6 +523,70 @@ class TestInvert:
         doc = self.run_from_overflowing_start(tmp_path, capsys, family, method)
         assert doc["eval_counts"]["welfare"] == 0
 
+    @pytest.mark.parametrize(
+        "file, key, expected",
+        [
+            ("model", "z", "model file: 'z'"),
+            ("model", "nu", "model file: 'nu'"),
+            ("truth", "x_star", "truth file: 'x_star'"),
+            ("truth", "sigma_star", "truth file: 'sigma_star'"),
+            ("shares", "shares", "shares file"),
+            ("x0", None, "x0 file"),
+        ],
+        ids=["model_z", "model_nu", "truth_x_star", "truth_sigma_star", "shares", "x0"],
+    )
+    def test_huge_integer_entry_is_usage_error(self, tmp_path, capsys, file, key, expected):
+        # Python's JSON reader keeps a 401-digit integer exact; its conversion
+        # to a double overflows
+        model_path = generate(tmp_path)
+        paths = {"model": model_path, "truth": tmp_path / "model.truth.json"}
+        paths.update(shares=tmp_path / "shares.json", x0=tmp_path / "x0.json")
+        modelio.write_json(paths["shares"], {"shares": [0.2, 0.3, 0.1]})
+        modelio.write_json(paths["x0"], [0.0, 0.0, 0.0])
+        doc = modelio.read_json(paths[file])
+        values = doc if key is None else doc[key]
+        inner = values[-1] if isinstance(values[-1], list) else values
+        inner[-1] = 10**400
+        modelio.write_json(paths[file], doc)
+        x0 = "truth+delta:1" if file == "truth" else paths["x0"]
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", paths["shares"], "--x0", x0,
+            "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {expected} has an integer too large for a double\n"
+
+    def test_truth_file_unknown_key_is_usage_error(self, tmp_path, capsys):
+        model_path = generate(tmp_path)
+        truth_path = tmp_path / "model.truth.json"
+        doc = modelio.read_json(truth_path)
+        doc["x0"] = [0.0, 0.0, 0.0]
+        modelio.write_json(truth_path, doc)
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", "0.2,0.3,0.1",
+            "--x0", "truth+delta:1", "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: truth file has unknown keys: x0\n"
+
+    def test_long_inline_share_list(self, tmp_path):
+        # J=30 shares at full precision make an argument longer than a file
+        # name may be; it is read as the list, to the truth file's result bytes
+        model_path = generate(tmp_path, J=30, M=3, n=40)
+        truth_path = tmp_path / "model.truth.json"
+        inline = ",".join(repr(s) for s in modelio.read_json(truth_path)["sigma_star"])
+        assert len(inline) > 255
+        outs = (tmp_path / "inline.json", tmp_path / "file.json")
+        for shares, out in zip((inline, truth_path), outs):
+            code = run_cli("invert", "--model", model_path, "--shares", shares, "--out", out)
+            assert code == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        traces = [out.with_suffix(".trace.csv").read_bytes() for out in outs]
+        assert traces[0] == traces[1]
+
     def test_gibberish_inline_shares(self, tmp_path, capsys):
         model_path = generate(tmp_path)
         code = run_cli(
@@ -710,9 +792,116 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: method 'convex_tr' is listed more than once\n"
         assert not (tmp_path / "run").exists()
 
+    def test_replication_count_beyond_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # refused while the spec is read: the suite is never started
+        monkeypatch.setattr(cli, "run_suite", suite_never_started)
+        doc = self.spec_doc()
+        doc["replications"] = 10**400
+        spec_path = self.write_spec(tmp_path, doc)
+        code = run_cli("simulate", "--spec", spec_path, "--out-dir", tmp_path / "run")
+        assert code == EXIT_USAGE
+        expected = f"error: replications must be <= {di.harness.MAX_REPLICATIONS}\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "run").exists()
+
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli("simulate", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "r")
         assert code == EXIT_IO
+
+
+# What the fuzz swaps in for a value: JSON null, booleans, a string, nested and
+# ragged lists, numbers at the edge of a double, an integer beyond it, and the
+# NaN and Infinity literals that Python's JSON writer emits.
+FUZZ_VALUES = (
+    None, True, False, "0.25", [[0.5]], [0.5, [0.5]], 1e308, -1e308, 10**400, -(10**400),
+    math.nan, math.inf, -math.inf,
+)
+
+
+def json_paths(doc, prefix=()):
+    """Every node of a JSON document, as its key/index path from the root."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid model, truth, spec, --shares and --x0 documents for a tiny market
+    of each family."""
+    inputs = {}
+    for family in ("logit", "purechar"):
+        base = tmp_path_factory.mktemp(family)
+        model_path = generate(base, family=family, J=2, M=2, n=4)
+        truth = modelio.read_json(base / "model.truth.json")
+        spec = {
+            "model_family": family, "J": 2, "M": 2, "n": 4, "replications": 2,
+            "delta_norm": 1.0, "master_seed": 0, "solver": {"max_iterations": 10},
+        }
+        inputs[family] = {
+            "model": modelio.read_json(model_path),
+            "truth": truth,
+            "spec": spec,
+            "shares": {"shares": truth["sigma_star"]},
+            "x0": [0.5, -0.5],
+        }
+    return inputs
+
+
+class TestInputFuzz:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        family=st.sampled_from(("logit", "purechar")),
+        file=st.sampled_from(("model", "truth", "spec", "shares", "x0")),
+        method=st.sampled_from(di.METHODS),
+        data=st.data(),
+    )
+    def test_mutated_input_file_exits_cleanly(self, fuzz_inputs, family, file, method, data):
+        # one value deleted or swapped in one valid input file: the command
+        # line converges, does not converge, or refuses the file in one line
+        docs = copy.deepcopy(fuzz_inputs[family])
+        path = data.draw(st.sampled_from(list(json_paths(docs[file]))))
+        delete = bool(path) and data.draw(st.booleans())
+        value = None if delete else data.draw(st.sampled_from(FUZZ_VALUES))
+        # a huge trial budget is valid, so it is a long run rather than a refusal
+        assume(not (file == "spec" and path[-1:] == ("max_iterations",) and value == 10**400))
+        if not path:
+            docs[file] = value
+        else:
+            parent = docs[file]
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, f"{name}.json") for name in docs}
+            paths["truth"] = os.path.join(tmp, "model.truth.json")
+            for name, doc in docs.items():
+                modelio.write_json(paths[name], doc)
+            if file == "spec":
+                argv = ["simulate", "--spec", paths["spec"], "--out-dir", os.path.join(tmp, "run")]
+            else:
+                x0 = "truth+delta:1" if file == "truth" else paths["x0"]
+                argv = [
+                    "invert", "--model", paths["model"], "--shares", paths["shares"],
+                    "--x0", x0, "--method", method, "--max-iter", "10",
+                    "--out", os.path.join(tmp, "r.json"),
+                ]
+            err = io.StringIO()
+            with (
+                mock.patch.dict(os.environ, {di.WORKERS_ENV: "1"}),
+                mock.patch.object(cli, "run_suite", small_suite),
+                contextlib.redirect_stderr(err),
+                contextlib.redirect_stdout(io.StringIO()),
+            ):
+                code = run_cli(*argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NO_CONVERGENCE)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_USAGE:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 class TestParser:

@@ -116,6 +116,14 @@ class TestExperimentSpec:
         with pytest.raises(di.InvalidInputError):
             small_logit_spec(**overrides)
 
+    def test_replication_count_capped(self):
+        # only constructed: a suite this size is never run here
+        cap = di.harness.MAX_REPLICATIONS
+        assert small_logit_spec(replications=cap).replications == cap
+        for count in (cap + 1, 10**400):
+            with pytest.raises(di.InvalidInputError, match=f"^replications must be <= {cap}$"):
+                small_logit_spec(replications=count)
+
     def test_purechar_needs_two_attributes(self):
         with pytest.raises(di.InvalidInputError):
             small_logit_spec(model_family="purechar", M=1)

@@ -153,6 +153,16 @@ class TestModelFiles:
         with pytest.raises(di.InvalidInputError):
             modelio.market_from_dict(doc)
 
+    def test_first_fault_in_key_order_reported(self, logit_triple):
+        # two mistyped keys: the one earlier in the file is the one named
+        doc = modelio.model_to_dict(logit_triple[0])
+        doc["J"], doc["z"] = "three", "quoted"
+        with pytest.raises(di.InvalidInputError, match="^model file: 'J' must be an integer"):
+            modelio.market_from_dict(doc)
+        reordered = {"z": doc.pop("z"), **doc}
+        with pytest.raises(di.InvalidInputError, match="^model file: 'z' must be a rectangular"):
+            modelio.market_from_dict(reordered)
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         modelio.write_json(path, [1, 2, 3])
@@ -170,6 +180,14 @@ class TestTruthAndShares:
         x_back, s_back = modelio.load_truth(truth_path)
         assert np.array_equal(x_back, x_star)
         assert np.array_equal(s_back, sigma_star)
+
+    def test_truth_unknown_keys_rejected(self, tmp_path, logit_triple):
+        _, x_star, sigma_star = logit_triple
+        path = tmp_path / "model.truth.json"
+        doc = {"x_star": x_star.tolist(), "sigma_star": sigma_star.tolist(), "x": 0}
+        modelio.write_json(path, doc)
+        with pytest.raises(di.InvalidInputError, match="^truth file has unknown keys: x$"):
+            modelio.load_truth(path)
 
     @pytest.mark.parametrize("family", list(SAVED_TRUTH_SHA256))
     def test_saved_truth_bytes_pinned(self, tmp_path, family):
