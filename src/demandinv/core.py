@@ -66,7 +66,7 @@ def as_share_vector(s, J: int | None = None) -> np.ndarray:
     s = _as_vector(s, "share vector", J)
     bad = np.nonzero(s < -SIMPLEX_ATOL)[0]
     if bad.size:
-        raise InvalidInputError(f"share coordinate {bad[0]} is negative ({s[bad[0]]!r})")
+        raise InvalidInputError(f"share coordinate {bad[0]} is negative ({float(s[bad[0]])!r})")
     total = float(s.sum())
     if total > 1.0 + SIMPLEX_ATOL:
         raise InvalidInputError(f"shares sum to {total!r} > 1 (outside share would be negative)")

@@ -107,31 +107,27 @@ def _from_doc(cls, doc, what: str):
     return cls(**{key: _field(doc, key, kinds[key], what) for key in doc})
 
 
+def _to_doc(obj) -> dict:
+    """The inverse of _from_doc: fields in order, arrays and tuples as lists, None left out."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            value = _to_doc(value)
+        elif isinstance(value, (np.ndarray, tuple)):
+            value = list(value) if isinstance(value, tuple) else value.tolist()
+        if value is not None:
+            doc[f.name] = value
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # model files
 
 
-def model_to_dict(market, seed=None) -> dict:
-    family = next((name for name, cls in FAMILIES.items() if isinstance(market, cls)), None)
-    if family is None:
-        raise InvalidInputError(f"cannot serialize model of type {type(market).__name__}")
-    doc = {
-        "family": family,
-        "J": market.J,
-        "M": market.M,
-        "n": market.n,
-        "beta": market.beta.tolist(),
-        "z": market.z.tolist(),
-        "nu": getattr(market, market.DRAWS).tolist(),
-    }
-    if seed is not None:
-        doc["seed"] = int(seed)
-    return doc
-
-
 @dataclasses.dataclass(frozen=True)
 class _ModelFile:
-    """A model file's keys, in the order model_to_dict writes them."""
+    """A model file's keys in file order; model_to_dict and market_from_dict both use it."""
 
     family: str
     J: int
@@ -141,6 +137,16 @@ class _ModelFile:
     z: np.ndarray
     nu: np.ndarray
     seed: int = 0
+
+
+def model_to_dict(market, seed=None) -> dict:
+    family = next((name for name, cls in FAMILIES.items() if isinstance(market, cls)), None)
+    if family is None:
+        raise InvalidInputError(f"cannot serialize model of type {type(market).__name__}")
+    draws = getattr(market, market.DRAWS)
+    seed = None if seed is None else int(seed)  # None leaves the key out, read back as 0
+    model = _ModelFile(family, market.J, market.M, market.n, market.beta, market.z, draws, seed)
+    return _to_doc(model)
 
 
 def market_from_dict(doc):
@@ -168,22 +174,17 @@ def truth_path_for(model_path) -> Path:
     return Path(model_path).with_suffix(".truth.json")
 
 
-def save_truth(path, x_star, sigma_star) -> None:
-    write_json(
-        path,
-        {
-            "x_star": np.asarray(x_star, dtype=float).tolist(),
-            "sigma_star": np.asarray(sigma_star, dtype=float).tolist(),
-        },
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class _TruthFile:
-    """A truth sidecar's keys, as save_truth writes them."""
+    """A truth sidecar's keys, in file order, as save_truth writes and load_truth reads them."""
 
     x_star: np.ndarray
     sigma_star: np.ndarray
+
+
+def save_truth(path, x_star, sigma_star) -> None:
+    arrays = (np.asarray(x_star, dtype=float), np.asarray(sigma_star, dtype=float))
+    write_json(path, _to_doc(_TruthFile(*arrays)))
 
 
 def load_truth(path):
@@ -209,8 +210,7 @@ def load_vector(path, keys, missing: str):
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """The spec file's JSON object: the spec's fields in order, lists for tuples."""
-    doc = dataclasses.asdict(spec)
-    return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
+    return _to_doc(spec)
 
 
 def spec_from_dict(doc) -> ExperimentSpec:
@@ -257,13 +257,13 @@ def bands_to_dict(bands: dict[str, MethodBand]) -> dict:
 
 
 def degeneracy_to_dict(deg: DegeneracyStats) -> dict:
-    names = [f.name for f in dataclasses.fields(deg)]
-    rows = zip(*(getattr(deg, name).tolist() for name in names))
+    columns = _to_doc(deg)
+    rows = zip(*columns.values())
     return {
         "threshold": DEGENERACY_THRESHOLD,
         "fraction_below": deg.fraction_below(),
         "replications": [
-            {"replication_id": r, **dict(zip(names, row))} for r, row in enumerate(rows)
+            {"replication_id": r, **dict(zip(columns, row))} for r, row in enumerate(rows)
         ],
     }
 

@@ -60,6 +60,7 @@ WELFARE_READS = "tests/test_solvers.py::TestWelfareReads"
 DEFERRED = "tests/test_core.py::TestDeferredWelfare"
 HUGE_WELFARE = f"{DEFERRED}::test_welfare_whose_sum_overflows_is_finite"
 REPORT_BYTES = "tests/test_modelio.py::TestReportBytes"
+LAYOUTS = "tests/test_modelio.py::TestLayouts::test_layout_reads_what_it_writes"
 MALFORMED_FILE = "tests/test_cli.py::TestInvert::test_malformed_model_json_is_usage_error"
 VECTOR_FILE = "tests/test_cli.py::TestInvert::test_bad_vector_file_is_usage_error"
 NON_NUMBER = "tests/test_cli.py::TestInvert::test_non_number_entries_are_usage_error"
@@ -470,9 +471,37 @@ MUTANTS = [
     (
         "degeneracy rows written with the fields out of order",
         "modelio.py",
-        "names = [f.name for f in dataclasses.fields(deg)]",
-        "names = [f.name for f in reversed(dataclasses.fields(deg))]",
+        "for f in dataclasses.fields(obj):",
+        "for f in reversed(dataclasses.fields(obj)):",
         ["tests/test_modelio.py::TestRunArtifacts::test_degeneracy_dict", REPORT_BYTES],
+    ),
+    (
+        "tuples written as tuples",
+        "modelio.py",
+        "value = list(value) if isinstance(value, tuple) else value.tolist()",
+        "value = value if isinstance(value, tuple) else value.tolist()",
+        [f"{LAYOUTS}[ExperimentSpec]"],
+    ),
+    (
+        "nested dataclass written as the object itself",
+        "modelio.py",
+        "if dataclasses.is_dataclass(value):\n            value = _to_doc(value)",
+        "if dataclasses.is_dataclass(value):\n            pass",
+        [f"{LAYOUTS}[ExperimentSpec]"],
+    ),
+    (
+        "model file always written with a seed",
+        "modelio.py",
+        "seed = None if seed is None else int(seed)",
+        "seed = 0 if seed is None else int(seed)",
+        [f"{MODEL_FILES}::test_seed_key_optional", f"{MODEL_FILES}::test_saved_bytes_pinned"],
+    ),
+    (
+        "negative share shown as a numpy repr",
+        "core.py",
+        "({float(s[bad[0]])!r})",
+        "({s[bad[0]]!r})",
+        ["tests/test_cli.py::TestInvert::test_negative_share_message_exact"],
     ),
     (
         "a failed run dropped from failures",

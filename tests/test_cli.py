@@ -340,6 +340,18 @@ class TestInvert:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, shown", [("-1e308", "-1e+308"), ("-0.5", "-0.5")])
+    def test_negative_share_message_exact(self, tmp_path, capsys, entry, shown):
+        # the offending entry is printed as a Python float, not a numpy repr
+        model_path = generate(tmp_path)
+        capsys.readouterr()
+        code = run_cli(
+            "invert", "--model", model_path, "--shares", f"0.2,{entry},0.1",
+            "--out", tmp_path / "r.json",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: share coordinate 1 is negative ({shown})\n"
+
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
         code = run_cli(
             "invert",

@@ -1,9 +1,11 @@
 """Serialization: model/truth/spec JSON files, trace CSVs, and run artifacts.
 Floats travel as shortest round-trip decimal text, so reloads are bit-exact."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,56 @@ class TestSpecFiles:
         assert len(a) == 64 and set(a) <= set("0123456789abcdef")
         other = di.ExperimentSpec(model_family="logit", J=5, M=3, n=40, replications=6)
         assert modelio.spec_sha256(other) != a
+
+
+# One value of each file layout, with signed zeros and extreme doubles in its arrays.
+LAYOUT_VALUES = [
+    modelio._ModelFile(
+        "purechar", 2, 2, 3, np.array([1.0, -0.0]), np.array([[0.5, -1e-300], [2.0, 5e300]]),
+        np.array([[-0.0], [1.0 / 3.0], [-7e-310]]), 11,
+    ),
+    modelio._TruthFile(np.array([-0.0, 1e308, -2.5e-320]), np.array([0.25, 0.0, 0.1])),
+    di.ExperimentSpec(
+        "logit", 3, 2, 10, 4, methods=("residual_tr", "contraction"), delta_norm=0.5,
+        master_seed=8, solver=di.SolverConfig(max_iterations=7, gradient_tolerance=1e-9),
+    ),
+]
+
+
+def assert_kinds_readable(cls):
+    """Every field of cls, and of the layouts nested in it, has a kind _field reads."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            assert_kinds_readable(kind)
+        else:
+            assert kind is np.ndarray or kind in modelio._KINDS, f"{cls.__name__}.{f.name}"
+
+
+def assert_layout_equal(back, value, doc):
+    """back equals value field by field (same type, arrays bit for bit), and doc, the
+    document written for value, holds its keys in the fields' declaration order."""
+    assert type(back) is type(value)
+    assert list(doc) == [f.name for f in dataclasses.fields(value)]
+    for f in dataclasses.fields(value):
+        a, b = getattr(value, f.name), getattr(back, f.name)
+        if isinstance(a, np.ndarray):
+            assert b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes()
+        elif dataclasses.is_dataclass(a):
+            assert_layout_equal(b, a, doc[f.name])
+        else:
+            assert type(b) is type(a) and b == a, f.name
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("value", LAYOUT_VALUES, ids=lambda v: type(v).__name__)
+    def test_layout_reads_what_it_writes(self, value):
+        # a field added without a kind _field reads fails here, not in a user's file
+        assert_kinds_readable(type(value))
+        doc = modelio._to_doc(value)
+        assert json.loads(json.dumps(doc)) == doc  # plain JSON: lists, objects, numbers
+        assert_layout_equal(modelio._from_doc(type(value), doc, "layout"), value, doc)
 
 
 class TestTraceCSV:

@@ -17,6 +17,7 @@ import demandinv as di
 from demandinv.harness import FAMILIES
 from demandinv.solvers import _floor_hessian, _tr_step
 from oracles import cauchy_reduction, floored_step
+from test_purechar import draw_tied_slopes
 
 
 def run_python(code):
@@ -512,27 +513,59 @@ class TestSolverContractProperty:
         maker = di.make_logit_instance if family == "logit" else di.make_purechar_instance
         market, x_star, sigma_star = maker(J, M, n, seed=seed)
         x0 = di.perturb_start(x_star, delta_norm, seed=seed)
-        cfg = di.SolverConfig(max_iterations=budget)
-        interior = np.all(sigma_star > 0.0) and sigma_star.sum() < 1.0
-        for method in di.METHODS:
-            if method == "contraction" and not interior:
-                with pytest.raises(di.UnsupportedTargetError):
-                    di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
-                continue
-            res = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
-            trace = res.error_trace
-            assert trace.shape == (res.iterations_used + 1,)
-            assert res.iterations_used <= budget
-            assert np.all(np.diff(trace) <= 0.0)
-            assert res.converged == (trace[-1] <= cfg.gradient_tolerance)
-            err = np.abs(market.evaluate(res.x_final).shares - sigma_star).max()
-            assert abs(err - trace[-1]) <= 1e-15
-            assert res.eval_trace[-1] <= res.eval_counts["shares"]
-            again = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
-            assert np.array_equal(again.x_final, res.x_final)
-            assert np.array_equal(again.error_trace, trace)
-            assert np.array_equal(again.eval_trace, res.eval_trace)
-            assert again.eval_counts == res.eval_counts
+        assert_solver_contract(market, sigma_star, x0, di.SolverConfig(max_iterations=budget))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_tied_slopes_far_starts_and_zeroed_targets(self, data):
+        # starts up to x* + 1e300 U[-1, 1] (beyond 720 the logit exp table has no
+        # room), and targets with a zeroed coordinate, whose x* is at minus infinity
+        family = data.draw(st.sampled_from(["logit", "purechar"]), label="family")
+        J = data.draw(st.integers(1, 6), label="J")
+        n = data.draw(st.integers(1, 30), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        if family == "purechar" and data.draw(st.booleans(), label="tied"):
+            z = np.column_stack([draw_tied_slopes(data, J), rng.standard_normal(J)])
+            market = di.PureCharMarket(z=z, nu_rest=rng.standard_normal((n, 1)), beta=np.ones(2))
+            x_star = rng.normal(scale=2.0, size=J)
+            sigma_star = market.evaluate(x_star).shares
+        else:
+            maker = di.make_logit_instance if family == "logit" else di.make_purechar_instance
+            market, x_star, sigma_star = maker(J, 2, n, seed=seed)
+        if data.draw(st.booleans(), label="zeroed"):
+            sigma_star = sigma_star.copy()
+            sigma_star[data.draw(st.integers(0, J - 1), label="zeroed_coordinate")] = 0.0
+        scale = data.draw(st.sampled_from([1.0, 30.0, 720.0, 1e20, 1e150, 1e300]), label="scale")
+        x0 = x_star + scale * rng.uniform(-1.0, 1.0, J)
+        budget = data.draw(st.integers(0, 30), label="budget")
+        assert_solver_contract(market, sigma_star, x0, di.SolverConfig(max_iterations=budget))
+
+
+def assert_solver_contract(market, sigma_star, x0, cfg):
+    """Every method from x0 toward sigma_star: contraction refuses a boundary
+    target; otherwise no raise, a nonincreasing error trace within the trial
+    budget that matches the shares at x_final, and a rerun with equal work."""
+    interior = np.all(sigma_star > 0.0) and sigma_star.sum() < 1.0
+    for method in di.METHODS:
+        if method == "contraction" and not interior:
+            with pytest.raises(di.UnsupportedTargetError):
+                di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+            continue
+        res = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+        trace = res.error_trace
+        assert trace.shape == (res.iterations_used + 1,)
+        assert res.iterations_used <= cfg.max_iterations
+        assert np.all(np.diff(trace) <= 0.0)
+        assert res.converged == (trace[-1] <= cfg.gradient_tolerance)
+        err = np.abs(market.evaluate(res.x_final).shares - sigma_star).max()
+        assert abs(err - trace[-1]) <= 1e-15
+        assert res.eval_trace[-1] <= res.eval_counts["shares"]
+        again = di.invert(market, sigma_star, method, x0=x0, cfg=cfg)
+        assert np.array_equal(again.x_final, res.x_final)
+        assert np.array_equal(again.error_trace, trace)
+        assert np.array_equal(again.eval_trace, res.eval_trace)
+        assert again.eval_counts == res.eval_counts
 
 
 class TestNewtonEquivalence:
