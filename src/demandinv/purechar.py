@@ -35,6 +35,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # underflow path.
 _PHI_CLIP = 1e150
 _TINY = np.finfo(float).smallest_subnormal
+# Most bytes of crossing table a market caches; blocks past the cap are formed
+# on each call by the same operations, so the cap moves no bit.
+_TABLE_BYTES = 1 << 24
 # Each thread's _Scratch for the latest (K, n) it evaluated, so that concurrent
 # evaluations never share working arrays and a thread keeps one shape's worth.
 _LOCAL = threading.local()
@@ -45,23 +48,32 @@ def _phi(t):
     return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP)))
 
 
+def _block(lines, e: int, g_head, out):
+    """Line c = len(out)'s crossing-table block: (l_p - l_c) / g_pc for rows
+    p < e, and the tie slice [e, c) left undivided."""
+    np.subtract(lines[: len(out)], lines[len(out)], out=out)
+    out[:e] /= g_head
+    return out
+
+
 class _Scratch:
     """Working arrays for evaluating a market of K lines and n consumers.
 
-    A, L, R and the crossing buffer are (K, n); `lines` holds the bounds loop's
-    views of them for each line c >= 1. t and s have room for all K*n segments
-    and the closing +inf. A segment's consumer-major flat index i*K + c maps to
-    its flat index c*n + i in the (K, n) arrays through `at`, and to its line c
-    through `line`. Each evaluation writes every entry it reads, so nothing
-    carries over from one call to the next.
+    L, R and the crossing buffer are (K, n) and d is (K, K); `lines` holds the
+    bounds loop's views of them for each line c >= 1. t and s have room for
+    all K*n segments and the closing +inf. A segment's consumer-major flat
+    index i*K + c maps to its flat index c*n + i in the (K, n) arrays through
+    `at`, and to its line c through `line`. Each evaluation writes every entry
+    it reads, so nothing carries over from one call to the next.
     """
 
     def __init__(self, K: int, n: int):
         self.shape = (K, n)
-        self.A, self.L, self.R, buf = np.empty((4, K, n))
+        self.L, self.R, buf = np.empty((3, K, n))
+        self.d = np.empty((K, K))
         self.t, self.s = np.empty((2, K * n + 1))
-        A, L, R = self.A, self.L, self.R
-        self.lines = [(A[:c], A[c], buf[:c], L[c], R[:c]) for c in range(1, K)]
+        d, L, R = self.d, self.L, self.R
+        self.lines = [(d[c, :c, None], buf[:c], L[c], R[:c]) for c in range(1, K)]
         self.at = (np.arange(K) * n + np.arange(n)[:, None]).ravel()
         self.line = np.tile(np.arange(K), n)
 
@@ -180,14 +192,34 @@ class PureCharMarket(SyntheticMarket):
         lines = np.vstack([nz.T, np.zeros(nz.shape[0])])[order]
         lines.setflags(write=False)
         bs = slopes[order]
-        # Slope gaps b_c - b_p of each line c against the lines p < c before it,
-        # as the (c, 1) columns that divide the bounds loop's crossings.
+        K, n = lines.shape
+        # Line c's crossing with p < c, ((l_p + x_p) - (l_c + x_c)) / g_pc with
+        # g_pc = b_c - b_p, is T_pc + d_pc: block c of the table caches T_pc =
+        # (l_p - l_c) / g_pc, and evaluate forms d_pc = (x_p - x_c) / g_pc. From
+        # the first row where T is not finite (equal slopes, a subnormal gap, an
+        # overflowing l_p - l_c) on, the tie slice [e, c) holds both undivided,
+        # and evaluate divides their sum by g: g = 0 gives the tie rule's +-inf or NaN.
         gaps = bs[:, None] - bs
         gaps.setflags(write=False)
+        div = np.ones((K, K))  # d's divisors: g_pc off the tie slices, else 1
+        blocks = []
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for c in range(1, K):
+                g = gaps[c, :c, None]
+                bad = np.flatnonzero(~np.isfinite((lines[:c] - lines[c]) / g).all(axis=1))
+                e = int(bad[0]) if bad.size else c
+                div[c, :e] = gaps[c, :e]
+                T = None
+                if 4 * c * (c + 1) * n <= _TABLE_BYTES:  # blocks 1 to c fit the cap
+                    T = _block(lines, e, g[:e], np.empty((c, n)))
+                    T.setflags(write=False)
+                blocks.append((T, e, g[:e], g[e:] if e < c else None))
+        div.setflags(write=False)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_slopes", bs)
         object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_gaps", [gaps[c, :c, None] for c in range(1, len(bs))])
+        object.__setattr__(self, "_div", div)
+        object.__setattr__(self, "_blocks", blocks)
 
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Shares, welfare and optionally the Jacobian via the interval formulation.
@@ -215,21 +247,25 @@ class PureCharMarket(SyntheticMarket):
         if scratch is None or scratch.shape != (K, n):
             # a new shape replaces, and so releases, this thread's old scratch
             scratch = _LOCAL.scratch = _Scratch(K, n)
-        A, L, R = scratch.A, scratch.L, scratch.R
+        L, R, d = scratch.L, scratch.R, scratch.d
 
         # The crossing of lines p < c bounds c from the left and p from the
-        # right. A, L and R are (K, n), so the loop works on contiguous rows.
+        # right. L and R are (K, n), so the loop works on contiguous rows. Each
+        # crossing is T + d, and the tie slice's sums are then divided by g.
         xo = np.append(as_mean_utility(x, J), 0.0)[order]  # x in line order, outside 0
-        np.add(self._lines, xo[:, None], out=A)
-        L.fill(-np.inf)
+        L[0] = -np.inf
         R.fill(np.inf)
         # Slopes a subnormal apart overflow to an infinite crossing, and equal
         # slopes divide by zero to one, both the right value. Coincident lines
         # give NaN, which max keeps in L and fmin leaves out of R.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for (Ap, Ac, cross, Lc, Rp), gap in zip(scratch.lines, self._gaps):
-                np.subtract(Ap, Ac, out=cross)
-                cross /= gap
+            np.divide(np.subtract(xo, xo[:, None], out=d), self._div, out=d)
+            for (dc, cross, Lc, Rp), (T, e, g_head, g_tail) in zip(scratch.lines, self._blocks):
+                if T is None:  # past the table's cap: its block, formed here
+                    T = _block(self._lines, e, g_head, cross)
+                np.add(T, dc, out=cross)
+                if g_tail is not None:
+                    cross[e:] /= g_tail
                 cross.max(axis=0, out=Lc)
                 np.fmin(Rp, cross, out=Rp)
 
@@ -261,12 +297,19 @@ class PureCharMarket(SyntheticMarket):
         widths = np.bincount(own, weights=mass, minlength=K)
         # Summed by parts, the welfare's density term is each breakpoint's
         # density times the slope step there; a consumer's -inf has density 0.
-        pdf = _phi(t[1:-1])
-        b = bs[cs]
-        db = b[1:] - b[:-1]
+        # Only the welfare and the Jacobian read them, and the welfare reads
+        # only fresh arrays, so without the Jacobian it forms them itself.
+        tb = t[1:-1] if want_jacobian else t[1:-1].copy()
 
-        def welfare():  # on first read, when A may hold a later call's intercepts
-            a = self._lines.ravel()[at] + xo[cs]  # A's add again, so A's bits
+        def steps():
+            b = bs[cs]
+            return _phi(tb), b[1:] - b[:-1]
+
+        fluxes = steps() if want_jacobian else None
+
+        def welfare():  # on first read, when the scratch may hold a later call's arrays
+            pdf, db = fluxes or steps()
+            a = self._lines.ravel()[at] + xo[cs]
             am, pd = a * mass, pdf * db
             mean = float(np.sum(am) + np.sum(pd)) / n
             # where the sum overflows, dividing first overflows only with the mean
@@ -278,6 +321,7 @@ class PureCharMarket(SyntheticMarket):
             # rank-one flux w*(e_p - e_q)(e_p - e_q)'; S[p, q] sums w over them.
             # Between two consumers pdf is 0 and db has any sign; the floor
             # keeps w = 0 there and leaves every interior db > 0 as it is.
+            pdf, db = fluxes
             w = pdf / np.maximum(db, _TINY)
             S = np.bincount(own[:-1] * K + own[1:], weights=w, minlength=K * K).reshape(K, K)
             S = S + S.T

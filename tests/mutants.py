@@ -52,6 +52,8 @@ MODEL_FILES = "tests/test_modelio.py::TestModelFiles"
 LOGIT_BUILD = "tests/test_logit.py::TestInstanceConstruction"
 PURECHAR_BUILD = "tests/test_purechar.py::TestInstanceConstruction"
 SCRATCH = "tests/test_purechar.py::TestScratch"
+TABLE = "tests/test_purechar.py::TestCrossingTable"
+TABLE_SWEEP = f"{TABLE}::test_cached_and_per_call_blocks_bitwise_equal"
 SAME_SHAPE = f"{SCRATCH}::test_other_markets_between_calls_change_nothing"
 VALIDATORS = "tests/test_core.py::TestValidators"
 SYNTHETIC = "tests/test_core.py::TestSyntheticMarket"
@@ -115,9 +117,9 @@ MUTANTS = [
         [GENERIC_SWEEP],
     ),
     (
-        "left bounds not reset between calls",
+        "left bound of the lowest line not set on each call",
         "purechar.py",
-        "        L.fill(-np.inf)\n",
+        "        L[0] = -np.inf\n",
         "",
         [SAME_SHAPE, GENERIC_SWEEP, TIES],
     ),
@@ -152,8 +154,8 @@ MUTANTS = [
     (
         "crossing arithmetic unguarded",
         "purechar.py",
-        'np.errstate(over="ignore", divide="ignore", invalid="ignore")',
-        "np.errstate()",
+        'np.errstate(over="ignore", divide="ignore", invalid="ignore"):\n            np.divide(',
+        "np.errstate():\n            np.divide(",
         [TIES],
     ),
     (
@@ -164,11 +166,46 @@ MUTANTS = [
         [f"{CLOSED_FORMS}::test_tail_share_is_relatively_exact"],
     ),
     (
-        "deferred welfare reads the intercepts from the scratch",
+        "deferred welfare reads the breakpoints from the scratch",
         "purechar.py",
-        "a = self._lines.ravel()[at] + xo[cs]",
-        "a = A.ravel()[at]",
-        [f"{DEFERRED}::test_read_after_same_shape_call_matches_fresh"],
+        "tb = t[1:-1] if want_jacobian else t[1:-1].copy()",
+        "tb = t[1:-1]",
+        [f"{DEFERRED}::test_read_after_same_shape_call_matches_fresh[False-purechar]"],
+    ),
+    (
+        "tie slice left undivided by the slope gap",
+        "purechar.py",
+        "cross[e:] /= g_tail",
+        "pass",
+        [TIES, TABLE_SWEEP],
+    ),
+    (
+        "tie slice starts one row late",
+        "purechar.py",
+        "e = int(bad[0]) if bad.size else c",
+        "e = min(int(bad[0]) + 1, c) if bad.size else c",
+        [TIES],
+    ),
+    (
+        "d divided by the slope gap on the tie slice too",
+        "purechar.py",
+        "div[c, :e] = gaps[c, :e]",
+        "div[c, :c] = gaps[c, :c]",
+        [TIES, TABLE_SWEEP],
+    ),
+    (
+        "table blocks past the cap not formed on each call",
+        "purechar.py",
+        "T = _block(self._lines, e, g_head, cross)",
+        "T = cross",
+        [TABLE_SWEEP],
+    ),
+    (
+        "table blocks cached writable",
+        "purechar.py",
+        "                    T.setflags(write=False)\n",
+        "",
+        [f"{TABLE}::test_tables_read_only"],
     ),
     (
         "welfare drops the density term",

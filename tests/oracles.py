@@ -7,9 +7,11 @@ pure-characteristics sweep, and that is checked against grid argmax on its
 own. Slow and simple on purpose. `logit_decimal_reference` carries the logit
 formulas at 40 significant digits, and `purechar_mpmath_reference` the
 pure-characteristics ones, so they measure the library's round-off.
-`cauchy_reduction` is the decrease every trust-region step must at least
-reach, `floored_step` takes the solvers' trial step in the coordinates of its
-inputs, and `read_trace_csv` reads back the trace files the library writes.
+`outside_segment_consumers` tells where the outside good owns no segment,
+so that the shares sum to 1 in exact arithmetic. `cauchy_reduction` is the
+decrease every trust-region step must at least reach, `floored_step` takes
+the solvers' trial step in the coordinates of its inputs, and
+`read_trace_csv` reads back the trace files the library writes.
 """
 
 from __future__ import annotations
@@ -262,6 +264,17 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
                 flux[q, p] -= w
     jac = flux[:J, :J] / n if want_jacobian else None
     return welfare / n, width[:J] / n, jac
+
+
+def outside_segment_consumers(market, x) -> int:
+    """How many consumers' envelopes, zero line included, give the outside
+    good a segment at mean utilities x."""
+    a = np.asarray(x, float) + market.nu_rest @ market.z[:, 1:].T
+    b = market.z[:, 0]
+    return sum(
+        any(seg.owner == di.OUTSIDE for seg in di.upper_envelope(zip(range(market.J), row, b)))
+        for row in a
+    )
 
 
 def purechar_mpmath_reference(z, nu_rest, x, digits=40):

@@ -39,7 +39,7 @@ SAVED_MODEL_SHA256 = {
 # instances; together with the model files they pin everything a maker returns.
 SAVED_TRUTH_SHA256 = {
     "logit": "9b81c1fa43022555e5f3d73d260e28e8b91aede7170db08800a864a457f32b74",
-    "purechar": "ce9d4aeca2df98c347ad7097b479d11edd6a2b9d4f9436f7f9fd67eab17d6e1a",
+    "purechar": "495e2d66578cf1d81ece97d297efda1368783c868dd6b642d508a3997287d55b",
 }
 
 # sha256 of the bytes write_trace_csv writes for TestTraceCSV's seeded logit suite;
@@ -52,8 +52,8 @@ SAVED_REPORT_SHA256 = {
     ("logit", "bands.json"): "7a5ad269af3593678096c90b6e75a844da528509cb28eebb7263c196754abf8b",
     ("logit", "degeneracy.json"): "9d505c6f1a8f64aa824b3c42501445ec1f5e4443f3124867fc14a7101bcdb385",
     ("logit", "manifest.json"): "e114a8e434dcf04e2d6c8d44dfb3c009c8a8e16826eefba441f553ce1b9eeef2",
-    ("purechar", "bands.json"): "ecf49a780ff795093c2b7412ed42e75b9d9417d07221ad036d02c34376cfd852",
-    ("purechar", "degeneracy.json"): "c6d60b5e226a34aafd0af39b698bc3b3ca11091527179c8bed5d159d650a8ada",
+    ("purechar", "bands.json"): "c68baa11604f6449babcbd32edbdf4020fd75bd67ac394c474b2b517d79d1434",
+    ("purechar", "degeneracy.json"): "589087037b921e5ba147e6b6da27dcadeb8949e78b3fafb75a74620f048f74fb",
     ("purechar", "manifest.json"): "d12fe09e0745013fa6c0487bcf07a0f48fc671442fa3ee0841a06a51df0d9c20",
 }
 

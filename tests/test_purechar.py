@@ -17,10 +17,12 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import demandinv as di
+from demandinv import purechar
 from oracles import (
     finite_difference_gradient,
     mc_purechar_shares,
     mc_standard_errors,
+    outside_segment_consumers,
     purechar_mpmath_reference,
     purechar_share_quadrature,
     purechar_sweep_reference,
@@ -390,6 +392,24 @@ class TestEvaluationPaths:
             assert np.all(shares >= 0.0)
             assert abs(shares.sum()) <= 1.0 + 1e-12
 
+    def test_shares_sum_to_one_within_n_eps_without_outside_segment(self):
+        # Where the outside good owns no segment the shares sum to 1 exactly,
+        # but the widths add the consumers' masses in sequence, so the sum can
+        # pass 1 by round-off that grows with n. Over 750 seeded markets like
+        # these (n 1-1,499) |1 - sum| was at most 0.5 n eps, at n = 1.
+        eps = np.finfo(float).eps
+        for seed in range(30):
+            rng = np.random.default_rng([seed, 29])
+            J, n = int(rng.integers(2, 11)), int(rng.integers(1, 200))
+            z = rng.standard_normal((J, 3))
+            z[:2, 0] = [abs(z[0, 0]) + 0.1, -abs(z[1, 0]) - 0.1]  # slopes of both signs
+            market = di.PureCharMarket(z=z, nu_rest=rng.standard_normal((n, 2)), beta=np.ones(3))
+            x = z.sum(axis=1) + rng.standard_normal(J)
+            while outside_segment_consumers(market, x):
+                x = x + 1.0
+            shares = market.evaluate(x).shares
+            assert abs(1.0 - shares.sum()) <= n * eps, (seed, n, 1.0 - shares.sum())
+
     def test_welfare_nonnegative(self):
         # the outside payoff is zero so the best option is never worse
         for seed in range(4):
@@ -497,9 +517,85 @@ class TestScratch:
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # the large scratch holds 64 bytes per line and consumer, 7 MB here
-        assert held >= 64 * 11 * 10_000
+        # the large scratch holds 56 bytes per line and consumer, 6 MB here
+        assert held >= 56 * 11 * 10_000
         assert after <= 2**16
+
+
+TABLE_KINDS = ("generic", "grid", "ulp", "coincident", "signed_zero", "huge")
+
+
+def table_market(kind, seed):
+    """A J=9, n=23 market whose slopes or intercepts are of the given kind;
+    "huge" puts the intercepts near +-1e308, so that l_p - l_c overflows."""
+    rng = np.random.default_rng([seed, 31])
+    J, n = 9, 23
+    z = rng.standard_normal((J, 3))
+    nu_rest = rng.standard_normal((n, 2))
+    if kind == "grid":
+        z[:, 0] = 0.5 * rng.integers(-2, 3, J)
+    elif kind == "ulp":
+        z[:, 0] = np.nextafter(0.5, rng.choice([-np.inf, 0.5, np.inf], J))
+    elif kind in ("coincident", "signed_zero"):
+        z = rng.integers(-1, 2, (J, 3)).astype(float)
+        nu_rest = rng.integers(-1, 2, (n, 2)).astype(float)
+        if kind == "signed_zero":
+            z[:, 0] = np.where(rng.random(J) < 0.5, -0.0, z[:, 0])
+    elif kind == "huge":
+        z[:, 1] = rng.choice([-1.0, 1.0], J) * rng.uniform(0.5, 1.0, J) * 1e308
+        nu_rest[:, 0] = rng.uniform(-1.0, 1.0, n)
+    return di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(3))
+
+
+def table_points(market):
+    """Mean utilities the table tests evaluate at: x, x + N(0,1), 0 and x - 8,
+    where x is x* without the second attribute's part, which is near +-1e308
+    in the "huge" kind."""
+    x = market.z[:, 0] + market.z[:, 2]
+    noise = np.random.default_rng(market.n).standard_normal(market.J)
+    return [x, x + noise, np.zeros(market.J), x - 8.0]
+
+
+class TestCrossingTable:
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_cached_and_per_call_blocks_bitwise_equal(self, kind, monkeypatch):
+        # J=9 makes blocks of 1..9 rows; the split cap holds the first three
+        # blocks (6 rows) and two rows more, so block 4 on are formed per call
+        for seed in range(3):
+            market = table_market(kind, seed)
+            points = table_points(market)
+            assert all(T is not None for T, *_ in market._blocks)
+            expected = [snapshot(market.evaluate(x, want_jacobian=True)) for x in points]
+            for cap, held in ((0, 0), (8 * market.n * 8, 3)):
+                monkeypatch.setattr(purechar, "_TABLE_BYTES", cap)
+                capped = table_market(kind, seed)
+                monkeypatch.undo()
+                assert sum(T is not None for T, *_ in capped._blocks) == held
+                got = [snapshot(capped.evaluate(x, want_jacobian=True)) for x in points]
+                assert got == expected
+            # the sweep's welfare sum overflows in the "huge" kind, so only
+            # the shares and the Jacobian are compared with it here
+            x = points[1]
+            ev = market.evaluate(x, want_jacobian=True)
+            _, shares, jac = purechar_sweep_reference(market.z, market.nu_rest, x, True)
+            assert np.max(np.abs(ev.shares - shares)) <= 1e-13
+            assert np.max(np.abs(ev.jacobian - jac)) <= 1e-13 * max(1.0, np.max(np.abs(jac)))
+
+    def test_huge_intercepts_overflow_past_the_adjacent_line(self):
+        # some line's first row whose l_p - l_c overflows is not the line just
+        # below it in slope order, so its tie slice holds undivided rows whose
+        # slope gap is not 0
+        for seed in range(3):
+            market = table_market("huge", seed)
+            assert any(e < c - 1 for c, (_, e, *_) in enumerate(market._blocks, start=1))
+
+    def test_tables_read_only(self):
+        for kind in TABLE_KINDS:
+            market = table_market(kind, 0)
+            assert not market._div.flags.writeable
+            for T, _, g_head, g_tail in market._blocks:
+                assert not T.flags.writeable and not g_head.flags.writeable
+                assert g_tail is None or not g_tail.flags.writeable
 
 
 class TestTiedSlopes:

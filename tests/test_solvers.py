@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import demandinv as di
 from demandinv.harness import FAMILIES
 from demandinv.solvers import _floor_hessian, _tr_step
-from oracles import cauchy_reduction, floored_step
+from oracles import cauchy_reduction, floored_step, outside_segment_consumers
 from test_purechar import draw_tied_slopes
 
 
@@ -272,11 +272,16 @@ class TestContraction:
     def test_zero_model_share_ends_run(self):
         # a pure characteristics model gives exact-zero shares in deep tails,
         # where the log update is undefined
-        market, x_star, sigma_star = di.make_purechar_instance(4, 3, 30, seed=3)
-        assert np.all(sigma_star > 0.0) and sigma_star.sum() < 1.0
+        market, x_star, _ = di.make_purechar_instance(4, 3, 30, seed=3)
+        # at x* the outside good owns no consumer's segment, so the shares sum
+        # to 1 up to round-off; half a unit lower it owns some, so the target
+        # is interior in exact arithmetic too
+        target = market.evaluate(x_star - 0.5).shares
+        assert outside_segment_consumers(market, x_star - 0.5) > 0
+        assert np.all(target > 0.0) and target.sum() < 1.0
         x0 = np.full(4, -400.0)  # deep enough that every tail mass underflows
         assert np.array_equal(market.evaluate(x0).shares, np.zeros(4))
-        res = di.invert(market, sigma_star, "contraction", x0=x0)
+        res = di.invert(market, target, "contraction", x0=x0)
         assert not res.converged
         assert res.iterations_used == 0
         assert res.eval_counts == {"welfare": 0, "shares": 1, "jacobian": 0}
