@@ -33,9 +33,9 @@ def as_float_array(value, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
 
 
-def _as_vector(value, name: str, J: int | None) -> np.ndarray:
-    """value as a finite float64 vector, of length J when J is given; a scalar
-    becomes a vector of length 1."""
+def _as_vector(value, name: str, J: int | None, finite: bool = True) -> np.ndarray:
+    """value as a float64 vector, of length J when J is given and finite unless
+    `finite` is False; a scalar becomes a vector of length 1."""
     v = as_float_array(value, name)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -43,7 +43,7 @@ def _as_vector(value, name: str, J: int | None) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a vector, got shape {v.shape}")
     if J is not None and v.shape[0] != J:
         raise InvalidInputError(f"{name} has dimension {v.shape[0]}, expected {J}")
-    if not np.isfinite(v).all():
+    if finite and not np.isfinite(v).all():
         raise InvalidInputError(f"{name} has NaN or infinite coordinates")
     return v
 
@@ -137,7 +137,11 @@ class ModelEvaluation:
         if not callable(welfare):
             welfare = _finite_welfare(welfare)
         shares = np.asarray(shares, dtype=float)
-        if shares.ndim != 1 or not np.isfinite(shares).all():
+        # a finite sum proves every share finite; Python's float sum, unlike
+        # numpy's, never warns, and adds a few floats faster than isfinite
+        if shares.ndim != 1 or not (
+            math.isfinite(sum(shares.tolist())) or np.isfinite(shares).all()
+        ):
             raise InvalidInputError("shares must be a finite vector")
         if jacobian is not None:
             jacobian = np.asarray(jacobian, dtype=float)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EULER_GAMMA, ModelEvaluation, SyntheticMarket, as_mean_utility, frozen_product
+from .core import EULER_GAMMA, ModelEvaluation, SyntheticMarket, _as_vector, frozen_product
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,15 +46,18 @@ class LogitMarket(SyntheticMarket):
         and optionally the share Jacobian accumulated in the same pass.
 
         Within the table's room (see __post_init__), consumer i's numerators
-        are E[:, i] e^x. Elsewhere overflow is guarded by a per-consumer shift
-        of max(0, max_q v_iq): the numerators are exp(v - shift) and the
-        outside one exp(-shift), so finite x never produces NaN and deeply
-        negative utilities underflow to exact zero shares. Either way the
-        denominators and shares are the same two matrix-vector products.
+        are E[:, i] e^x. One max|x| is both that guard and the finiteness
+        check: NaN and infinities fail the guard and are rejected past it.
+        Elsewhere overflow is guarded by a per-consumer shift of
+        max(0, max_q v_iq): the numerators are exp(v - shift) and the outside
+        one exp(-shift), so finite x never produces NaN and deeply negative
+        utilities underflow to exact zero shares. Either way the denominators
+        and shares are the same two matrix-vector products.
         """
-        x = as_mean_utility(x, self.J)
-        if max(x.max(), -x.min()) <= self._room:
+        x = _as_vector(x, "mean utility", self.J, finite=False)
+        if np.maximum.reduce(np.abs(x)) <= self._room:
             return _evaluate(self._exp, np.exp(x), 1.0, 0.0, want_jacobian)
+        x = _as_vector(x, "mean utility", self.J)  # rejects NaN and infinities
         v = self._zn + x[:, None]  # (J, n) systematic utilities, a fresh array
         shift = v.max(axis=0, initial=0.0)
         v -= shift

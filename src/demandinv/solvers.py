@@ -106,11 +106,12 @@ def _contraction(model, target, x, cfg) -> InversionResult:
 
     log_target = np.log(target)
     while best_err > cfg.gradient_tolerance and len(trace) <= cfg.max_iterations:
-        if not shares.all():
+        if not np.logical_and.reduce(shares):
             break  # log undefined: report a diverged run, not an exception
         x = x + log_target - np.log(shares)
         shares = model.evaluate(x).shares
-        err = float(np.abs(shares - target).max())
+        err = shares - target
+        err = float(np.maximum.reduce(np.abs(err, out=err)))
         if err < best_err:
             best_err = err
             best_x = x

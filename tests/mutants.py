@@ -44,6 +44,7 @@ LOGIT_CACHE = f"{LOGIT_CACHED}::test_cache_read_only_and_unchanged"
 LOGIT_TABLE = f"{LOGIT_CACHED}::test_table_read_only_and_unchanged"
 LOGIT_ACCURACY = "tests/test_logit.py::TestAccuracy::test_round_off_within_bounds"
 LOGIT_GUARD = f"{LOGIT_CACHED}::test_each_side_of_the_guard_matches_reference_loop"
+NONFINITE = "tests/test_logit.py::TestNonFiniteUtilities"
 STEP_PROPERTY = "tests/test_solvers.py::TestTrustRegionStep::test_floored_step_properties"
 MISTYPED_SPEC = "tests/test_cli.py::TestSimulate::test_mistyped_spec_field_is_usage_error"
 BAD_SOLVER = "tests/test_cli.py::TestSimulate::test_bad_solver_setting_is_usage_error"
@@ -387,7 +388,7 @@ MUTANTS = [
     (
         "no zero-share guard in contraction",
         "solvers.py",
-        "        if not shares.all():\n            break",
+        "        if not np.logical_and.reduce(shares):\n            break",
         "        if False:\n            break",
         ["tests/test_solvers.py::TestContraction::test_zero_model_share_ends_run"],
     ),
@@ -456,7 +457,7 @@ MUTANTS = [
     (
         "vector finiteness check dropped",
         "core.py",
-        "if not np.isfinite(v).all():",
+        "if finite and not np.isfinite(v).all():",
         "if False:",
         [
             f"{VALIDATORS}::test_mean_utility_rejects_nonfinite",
@@ -473,9 +474,32 @@ MUTANTS = [
     (
         "ModelEvaluation shares finiteness dropped",
         "core.py",
-        "if shares.ndim != 1 or not np.isfinite(shares).all():",
+        "if shares.ndim != 1 or not (\n"
+        "            math.isfinite(sum(shares.tolist())) or np.isfinite(shares).all()\n"
+        "        ):",
         "if shares.ndim != 1:",
         [f"{VALIDATORS}::test_model_evaluation_rejects_nonfinite_shares", NAN_SHARES],
+    ),
+    (
+        "sum-first check without the elementwise fallback",
+        "core.py",
+        "math.isfinite(sum(shares.tolist())) or np.isfinite(shares).all()",
+        "math.isfinite(sum(shares.tolist()))",
+        [f"{VALIDATORS}::test_model_evaluation_accepts_finite_entries_whose_sum_overflows"],
+    ),
+    (
+        "non-finite x sent to the fallback instead of raising",
+        "logit.py",
+        '        x = _as_vector(x, "mean utility", self.J)  # rejects NaN and infinities\n',
+        "",
+        [f"{NONFINITE}::test_nonfinite_coordinate_rejected"],
+    ),
+    (
+        "table guard takes max x, not max|x|",
+        "logit.py",
+        "np.maximum.reduce(np.abs(x))",
+        "np.maximum.reduce(x)",
+        [f"{NONFINITE}::test_nonfinite_coordinate_rejected[table--inf-False]"],
     ),
     (
         "Jacobian finiteness dropped",

@@ -106,6 +106,32 @@ class TestValidators:
         with pytest.raises(di.InvalidInputError, match="jacobian must be a finite 2x2"):
             di.ModelEvaluation(1.0, np.array([0.5, 0.25]), jac)
 
+    def test_model_evaluation_accepts_finite_entries_whose_sum_overflows(self):
+        # the shares are checked by their sum first; a sum that overflows is
+        # not a rejection, nor a warning, which the suite turns into an error
+        huge = np.array([1e308, 1e308])
+        ev = di.ModelEvaluation(1.0, huge, np.full((2, 2), 1e308))
+        assert np.array_equal(ev.shares, huge) and (ev.jacobian == 1e308).all()
+        ev = di.ModelEvaluation(1.0, -huge, np.full((2, 2), -1e308))
+        assert np.array_equal(ev.shares, -huge) and (ev.jacobian == -1e308).all()
+
+    @pytest.mark.parametrize(
+        "shares",
+        [[np.inf, -np.inf], [1e308, 1e308, np.nan], [-1e308, -1e308, np.inf]],
+        ids=["opposite_infinities", "overflow_then_nan", "overflow_then_inf"],
+    )
+    def test_model_evaluation_rejects_nonfinite_shares_whatever_their_sum(self, shares):
+        with pytest.raises(di.InvalidInputError) as info:
+            di.ModelEvaluation(1.0, np.array(shares))
+        assert str(info.value) == "shares must be a finite vector"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model_evaluation_rejects_nonfinite_jacobian(self, bad):
+        jac = np.array([[1e308, 1e308], [1e308, bad]])
+        with pytest.raises(di.InvalidInputError) as info:
+            di.ModelEvaluation(1.0, np.array([0.5, 0.25]), jac)
+        assert str(info.value) == "jacobian must be a finite 2x2 matrix"
+
 
 # Invalid markets of a family whose first f taste coefficients are fixed, each with
 # the name its error message must start with ("draws" stands for the family's

@@ -331,6 +331,53 @@ class TestCachedUtilities:
         assert_matches_reference_loop(market, x, ev)
 
 
+NONFINITE = "mean utility has NaN or infinite coordinates"
+
+# A market whose table serves every x with max|x| <= its room, and one with no table.
+GUARD_MARKETS = {
+    "table": lambda: di.make_logit_instance(5, 2, 30, seed=3)[0],
+    "no_table": lambda: di.LogitMarket(z=[[699.0], [0.0]], nu=[[1.0]], beta=[1.0]),
+}
+
+
+class TestNonFiniteUtilities:
+    """One max|x| is both the table's guard and the finiteness check: NaN and
+    infinities fail the guard and are rejected past it, with as_mean_utility's
+    message, before any arithmetic."""
+
+    @pytest.mark.parametrize("want", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", GUARD_MARKETS)
+    def test_nonfinite_coordinate_rejected(self, kind, bad, want):
+        market = GUARD_MARKETS[kind]()
+        assert (market._exp is None) == (kind == "no_table")
+        x = np.zeros(market.J)
+        x[-1] = bad
+        with pytest.raises(di.InvalidInputError) as info:
+            market.evaluate(x, want_jacobian=want)
+        assert str(info.value) == NONFINITE
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_beside_a_coordinate_past_the_room_rejected(self, bad):
+        market = GUARD_MARKETS["table"]()
+        x = np.zeros(market.J)
+        x[0] = 2.0 * TestCachedUtilities.room(market)  # finite, on the fallback's side
+        x[1] = bad
+        with pytest.raises(di.InvalidInputError) as info:
+            market.evaluate(x)
+        assert str(info.value) == NONFINITE
+        x[1] = 0.0
+        assert np.isfinite(market.evaluate(x).shares).all()
+
+    @pytest.mark.parametrize("kind", GUARD_MARKETS)
+    def test_dimension_checked_before_finiteness(self, kind):
+        market = GUARD_MARKETS[kind]()
+        with pytest.raises(di.InvalidInputError) as info:
+            market.evaluate(np.full(market.J + 1, np.nan))
+        J = market.J
+        assert str(info.value) == f"mean utility has dimension {J + 1}, expected {J}"
+
+
 class TestInstanceConstruction:
     def test_same_seed_bit_identical(self):
         a_market, a_x, a_s = di.make_logit_instance(6, 3, 40, seed=11)

@@ -14,6 +14,10 @@ working arrays carried over from one call to the next show as differences,
 and the twin is evaluated once more before that evaluation's outputs are read,
 so that a welfare deferred to its first read but computed from working arrays
 shows as well.
+The non-finite pass evaluates every market at x* and at x* + 1e3 (for logit,
+inside and past its exp table's room) with one coordinate set to NaN, +inf or
+-inf in turn, with and without the Jacobian; each tree's exception class and
+message, or its outputs, must match byte for byte, whatever --ulps says.
 The maker pass calls make_logit_instance and make_purechar_instance on seeded
 sizes (J 1-15, M from the family's smallest to 5, n 1-399), with integer and
 SeedSequence seeds in turn, and compares z, the draws, beta, x* and sigma*
@@ -27,9 +31,10 @@ made instances per family. It prints one line per family and pass, with the
 number of evaluations or made instances that differ bitwise and the largest
 gap in units in the last place per output. It exits 1 when a gap exceeds
 --ulps, or when one tree raises where the other does not, raises another
-error, or gives another shape. Every distinct pair of doubles is at least 1
-ulp apart, +0.0 and -0.0 included, so the default --ulps 0 fails exactly
-when an output differs in any bit. The logit evaluator's move onto its
+error, or gives another shape, and when a non-finite evaluation differs at
+all. Every distinct pair of doubles is at least 1 ulp apart, +0.0 and -0.0
+included, so the default --ulps 0 fails exactly when an output differs in
+any bit. The logit evaluator's move onto its
 exp(z nu') table measured at most 10 ulps over the default markets (welfare
 3, shares 6, Jacobian 10, the maker's sigma* 5), so `--ulps 32` was its stated
 bound; its shifted fallback's move onto the table's arithmetic measured 1.
@@ -40,6 +45,10 @@ stated bound. Each of the three largest lies in a deep tail at x* - 8 or on a
 Jacobian entry far below the largest: the welfare gap is a value of 4.85e-90
 whose error against a 40-digit reference fell from 1.1e-11 to 1.6e-14
 relative. The "huge" kind's evaluations did not change.
+The logit evaluator's fused max|x| guard and finiteness check, with the
+contraction's direct ufunc reductions and ModelEvaluation's sum-first share
+check, changed no evaluation and no maker output at --ulps 0, and every
+non-finite evaluation raised the same InvalidInputError in both trees.
 """
 
 from __future__ import annotations
@@ -142,7 +151,7 @@ def dump(per_kind: int) -> dict:
 
     from demandinv import PureCharMarket
 
-    out = {"purechar": [], "logit": []}
+    out = {"purechar": [], "logit": [], "purechar non-finite": [], "logit non-finite": []}
     for f, family in enumerate(MAKERS):
         rng = np.random.default_rng([f, 2025])
         out[f"{family} maker"] = [made(family, rng, k) for k in range(per_kind)]
@@ -167,6 +176,13 @@ def dump(per_kind: int) -> dict:
 
                         twin_call()
                         out[family].append(record(market, x, want, then=twin_call))
+            # x* lies within the logit table's room, x* + 1e3 past it
+            for side, base in enumerate((x_star, x_star + 1e3)):
+                for bad in (np.nan, np.inf, -np.inf):
+                    x = base.copy()
+                    x[side % x.size] = bad
+                    for want in (False, True):
+                        out[f"{family} non-finite"].append(record(market, x, want))
     return out
 
 
@@ -248,6 +264,15 @@ def main() -> int:
         line += f"; largest gap in ulps: {worst}; {mismatched} raise or change shape"
         bad |= len(a) != len(b) or mismatched > 0 or max(gaps.values()) > args.ulps
         print(line)
+    for family in MAKERS:
+        a, b = old[f"{family} non-finite"], new[f"{family} non-finite"]
+        differ = sum(x != y for x, y in zip(a, b))
+        raised = sum(isinstance(y[0], str) for y in b)
+        print(
+            f"{family} non-finite: {len(a)} evaluations, {raised} raise in the new tree, "
+            f"{differ} differ in exception class, message or output"
+        )
+        bad |= len(a) != len(b) or differ > 0
     return 1 if bad else 0
 
 
