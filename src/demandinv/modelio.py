@@ -34,8 +34,7 @@ TRACE_COLUMNS = (
 
 def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def read_json(path):

@@ -206,14 +206,14 @@ class PureCharMarket(SyntheticMarket):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for c in range(1, K):
                 g = gaps[c, :c, None]
-                bad = np.flatnonzero(~np.isfinite((lines[:c] - lines[c]) / g).all(axis=1))
+                T = _block(lines, c, g, np.empty((c, n)))  # every row divided
+                bad = np.flatnonzero(~np.isfinite(T).all(axis=1))
                 e = int(bad[0]) if bad.size else c
+                np.subtract(lines[e:c], lines[c], out=T[e:])  # the tie slice, undivided
                 div[c, :e] = gaps[c, :e]
-                T = None
-                if 4 * c * (c + 1) * n <= _TABLE_BYTES:  # blocks 1 to c fit the cap
-                    T = _block(lines, e, g[:e], np.empty((c, n)))
-                    T.setflags(write=False)
-                blocks.append((T, e, g[:e], g[e:] if e < c else None))
+                T.setflags(write=False)
+                fits = 4 * c * (c + 1) * n <= _TABLE_BYTES  # blocks 1 to c fit the cap
+                blocks.append((T if fits else None, e, g[:e], g[e:] if e < c else None))
         div.setflags(write=False)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_slopes", bs)
@@ -233,9 +233,11 @@ class PureCharMarket(SyntheticMarket):
         the outside good loses. Only the alive segments, L_c < R_c, are
         integrated. Two consecutive ones meet at a breakpoint t, whose tail
         mass Phi(-|t|) and density phi(t) are computed once and shared by
-        both; the Jacobian sums one rank-one flux per breakpoint.
-        The working arrays are the calling thread's scratch for (K, n), so
-        concurrent calls share none, and every returned array is fresh.
+        both. Every call forms phi and the slope steps as fresh arrays; the
+        deferred welfare reads them, and the Jacobian sums one rank-one flux
+        per breakpoint from them. The other working arrays are the calling
+        thread's scratch for (K, n), so concurrent calls share none, and
+        every returned array is fresh.
         scipy.special is imported on the first call.
         """
         J = self.J
@@ -297,18 +299,10 @@ class PureCharMarket(SyntheticMarket):
         widths = np.bincount(own, weights=mass, minlength=K)
         # Summed by parts, the welfare's density term is each breakpoint's
         # density times the slope step there; a consumer's -inf has density 0.
-        # Only the welfare and the Jacobian read them, and the welfare reads
-        # only fresh arrays, so without the Jacobian it forms them itself.
-        tb = t[1:-1] if want_jacobian else t[1:-1].copy()
-
-        def steps():
-            b = bs[cs]
-            return _phi(tb), b[1:] - b[:-1]
-
-        fluxes = steps() if want_jacobian else None
+        b = bs[cs]
+        pdf, db = _phi(t[1:-1]), b[1:] - b[:-1]
 
         def welfare():  # on first read, when the scratch may hold a later call's arrays
-            pdf, db = fluxes or steps()
             a = self._lines.ravel()[at] + xo[cs]
             am, pd = a * mass, pdf * db
             mean = float(np.sum(am) + np.sum(pd)) / n
@@ -321,7 +315,6 @@ class PureCharMarket(SyntheticMarket):
             # rank-one flux w*(e_p - e_q)(e_p - e_q)'; S[p, q] sums w over them.
             # Between two consumers pdf is 0 and db has any sign; the floor
             # keeps w = 0 there and leaves every interior db > 0 as it is.
-            pdf, db = fluxes
             w = pdf / np.maximum(db, _TINY)
             S = np.bincount(own[:-1] * K + own[1:], weights=w, minlength=K * K).reshape(K, K)
             S = S + S.T

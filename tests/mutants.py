@@ -169,8 +169,8 @@ MUTANTS = [
     (
         "deferred welfare reads the breakpoints from the scratch",
         "purechar.py",
-        "tb = t[1:-1] if want_jacobian else t[1:-1].copy()",
-        "tb = t[1:-1]",
+        "am, pd = a * mass, pdf * db",
+        "am, pd = a * mass, _phi(t[1:-1]) * db",
         [f"{DEFERRED}::test_read_after_same_shape_call_matches_fresh[False-purechar]"],
     ),
     (
@@ -204,7 +204,7 @@ MUTANTS = [
     (
         "table blocks cached writable",
         "purechar.py",
-        "                    T.setflags(write=False)\n",
+        "                T.setflags(write=False)\n",
         "",
         [f"{TABLE}::test_tables_read_only"],
     ),

@@ -311,6 +311,19 @@ class TestCachedUtilities:
         assert np.array_equal(ev_poisoned.jacobian, ev.jacobian)
         assert_matches_reference_loop(market, x, ev)
 
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_shares_only_call_matches_jacobian_call(self, side):
+        market, _, _ = di.make_logit_instance(5, 2, 30, seed=3)
+        room = self.room(market)
+        top = room if side == "inside" else np.nextafter(room, np.inf)
+        x = top - 0.5 * np.arange(market.J)  # max|x| is top
+        for y in (x, -x):
+            full = market.evaluate(y, want_jacobian=True)
+            part = market.evaluate(y)
+            assert part.jacobian is None
+            assert part.shares.tobytes() == full.shares.tobytes()
+            assert np.float64(part.welfare).tobytes() == np.float64(full.welfare).tobytes()
+
     def test_many_products_near_the_room_do_not_overflow(self):
         # without the log(J + 1) headroom, 20,000 numerators of e^699.95 would
         # sum past the largest double

@@ -598,6 +598,20 @@ class TestCrossingTable:
                 assert g_tail is None or not g_tail.flags.writeable
 
 
+class TestSharesOnlyCalls:
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_shares_only_call_matches_jacobian_call(self, kind):
+        # one computation either way: the Jacobian call only adds the Jacobian
+        for seed in range(3):
+            market = table_market(kind, seed)
+            for x in table_points(market):
+                full = market.evaluate(x, want_jacobian=True)
+                part = market.evaluate(x)
+                assert part.jacobian is None
+                assert part.shares.tobytes() == full.shares.tobytes()
+                assert np.float64(part.welfare).tobytes() == np.float64(full.welfare).tobytes()
+
+
 class TestTiedSlopes:
     @pytest.mark.parametrize("market, x, zero_products, outside_loses", TIE_CASES)
     def test_edge_cases_match_sweep(self, market, x, zero_products, outside_loses):

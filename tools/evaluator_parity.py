@@ -49,6 +49,9 @@ The logit evaluator's fused max|x| guard and finiteness check, with the
 contraction's direct ufunc reductions and ModelEvaluation's sum-first share
 check, changed no evaluation and no maker output at --ulps 0, and every
 non-finite evaluation raised the same InvalidInputError in both trees.
+Forming the pure-characteristics densities and slope steps on every call, and
+each crossing block once at construction, changed no evaluation and no maker
+output at --ulps 0.
 """
 
 from __future__ import annotations
