@@ -206,13 +206,13 @@ class PureCharMarket(SyntheticMarket):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for c in range(1, K):
                 g = gaps[c, :c, None]
-                T = _block(lines, c, g, np.empty((c, n)))  # every row divided
+                T = _block(lines, c, g, np.empty((c, n)))
                 bad = np.flatnonzero(~np.isfinite(T).all(axis=1))
                 e = int(bad[0]) if bad.size else c
-                np.subtract(lines[e:c], lines[c], out=T[e:])  # the tie slice, undivided
                 div[c, :e] = gaps[c, :e]
-                T.setflags(write=False)
-                fits = 4 * c * (c + 1) * n <= _TABLE_BYTES  # blocks 1 to c fit the cap
+                if fits := 4 * c * (c + 1) * n <= _TABLE_BYTES:  # blocks 1 to c fit the cap
+                    np.subtract(lines[e:c], lines[c], out=T[e:])  # the tie slice, undivided
+                    T.setflags(write=False)
                 blocks.append((T if fits else None, e, g[:e], g[e:] if e < c else None))
         div.setflags(write=False)
         object.__setattr__(self, "_order", order)
@@ -299,8 +299,8 @@ class PureCharMarket(SyntheticMarket):
         widths = np.bincount(own, weights=mass, minlength=K)
         # Summed by parts, the welfare's density term is each breakpoint's
         # density times the slope step there; a consumer's -inf has density 0.
-        b = bs[cs]
-        pdf, db = _phi(t[1:-1]), b[1:] - b[:-1]
+        db = bs[cs]  # each segment's slope, then the steps between them
+        pdf, db = _phi(t[1:-1]), db[1:] - db[:-1]
 
         def welfare():  # on first read, when the scratch may hold a later call's arrays
             a = self._lines.ravel()[at] + xo[cs]

@@ -204,7 +204,7 @@ MUTANTS = [
     (
         "table blocks cached writable",
         "purechar.py",
-        "                T.setflags(write=False)\n",
+        "                    T.setflags(write=False)\n",
         "",
         [f"{TABLE}::test_tables_read_only"],
     ),

@@ -2,10 +2,10 @@
 
     python tools/scaling.py [--src DIR] [--family logit purechar]
                             [--J 10 20 40 80] [--n 1000 5000]
-                            [--repeat 5] [--trials 20] [--seed 0]
+                            [--repeat 5] [--trials 20]
 
 For each family, J and n it draws one seeded market with M = 5 attributes
-(`make_*_instance(J, 5, n, seed)`) and prints one row:
+(`make_*_instance(J, 5, n, seed=0)`) and prints one row:
 
 - `shares_us`: one `evaluate(x)` call at x = x* + 0.3, its welfare not read,
   as `contraction` calls it;
@@ -39,6 +39,7 @@ from time import perf_counter
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 M = 5
+SEED = 0
 ROUND_S = 0.1
 START_SPREAD = 20.0
 METHODS = ("convex_tr", "residual_tr")
@@ -98,7 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n", nargs="+", type=int, default=[1000, 5000])
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for var in BLAS_THREADS:  # read when numpy is first imported
         os.environ.setdefault(var, "1")
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     for family in args.family:
         for J in args.J:
             for n in args.n:
-                market, x_star, sigma = makers[family](J, M, n, seed=args.seed)
+                market, x_star, sigma = makers[family](J, M, n, seed=SEED)
                 x = x_star + 0.3
                 shares = per_call_us(lambda: market.evaluate(x), args.repeat)
                 jac = per_call_us(
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
                 )
                 row = f"{family:9}{J:>4}{n:>7}{shares:>12.1f}{jac:>12.1f}"
                 if args.trials:
-                    rng = np.random.default_rng([args.seed, J, n])
+                    rng = np.random.default_rng([SEED, J, n])
                     x0 = x_star + START_SPREAD * rng.uniform(-1.0, 1.0, J)
                     runs = [
                         solver_us_per_trial(di, market, x0, sigma, m, args.trials, args.repeat)
