@@ -146,7 +146,8 @@ class ModelEvaluation:
         if jacobian is not None:
             jacobian = np.asarray(jacobian, dtype=float)
             J = shares.shape[0]
-            if jacobian.shape != (J, J) or not np.isfinite(jacobian).all():
+            finite = np.logical_and.reduce(np.isfinite(jacobian), axis=None)
+            if jacobian.shape != (J, J) or not finite:
                 raise InvalidInputError(f"jacobian must be a finite {J}x{J} matrix")
         object.__setattr__(self, "_welfare", welfare)
         object.__setattr__(self, "shares", shares)

@@ -29,11 +29,12 @@ from .core import (
 OUTSIDE = -1
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# _phi(t) is exactly 0 once |t| exceeds ~38.6, so clipping |t| at this bound
-# changes no value; it keeps np.square below its overflow at ~1.3e154. A bound
-# near 40 would be as exact but puts the infinite envelope ends on exp's slow
-# underflow path.
+# _phi(t) is exactly 0 once |t| exceeds ~38.6, so _phi squares min(|t|, this
+# bound), which changes no value and keeps np.square below its overflow at
+# ~1.3e154. A bound near 40 would be as exact but puts the infinite envelope
+# ends on exp's slow underflow path.
 _PHI_CLIP = 1e150
+_ZERO = np.zeros(1)  # the outside good's mean utility
 _TINY = np.finfo(float).smallest_subnormal
 # Most bytes of crossing table a market caches; blocks past the cap are formed
 # on each call by the same operations, so the cap moves no bit.
@@ -45,7 +46,7 @@ _LOCAL = threading.local()
 
 def _phi(t):
     """Standard normal pdf, exact 0 at +-inf."""
-    return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP)))
+    return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.minimum(np.abs(t), _PHI_CLIP)))
 
 
 def _block(lines, e: int, g_head, out):
@@ -235,9 +236,10 @@ class PureCharMarket(SyntheticMarket):
         mass Phi(-|t|) and density phi(t) are computed once and shared by
         both. Every call forms phi and the slope steps as fresh arrays; the
         deferred welfare reads them, and the Jacobian sums one rank-one flux
-        per breakpoint from them. The other working arrays are the calling
-        thread's scratch for (K, n), so concurrent calls share none, and
-        every returned array is fresh.
+        per breakpoint from them into S, then takes -S on the inside products
+        with S's full row sums on its diagonal. The other working arrays are
+        the calling thread's scratch for (K, n), so concurrent calls share
+        none, and every returned array is fresh.
         scipy.special is imported on the first call.
         """
         J = self.J
@@ -254,7 +256,7 @@ class PureCharMarket(SyntheticMarket):
         # The crossing of lines p < c bounds c from the left and p from the
         # right. L and R are (K, n), so the loop works on contiguous rows. Each
         # crossing is T + d, and the tie slice's sums are then divided by g.
-        xo = np.append(as_mean_utility(x, J), 0.0)[order]  # x in line order, outside 0
+        xo = np.concatenate((as_mean_utility(x, J), _ZERO))[order]  # x in line order, outside 0
         L[0] = -np.inf
         R.fill(np.inf)
         # Slopes a subnormal apart overflow to an infinite crossing, and equal
@@ -268,13 +270,13 @@ class PureCharMarket(SyntheticMarket):
                 np.add(T, dc, out=cross)
                 if g_tail is not None:
                     cross[e:] /= g_tail
-                cross.max(axis=0, out=Lc)
+                np.maximum.reduce(cross, axis=0, out=Lc)
                 np.fmin(Rp, cross, out=Rp)
 
         # The alive segments, listed per consumer in slope order, so one
         # consumer's envelope is a run of consecutive entries; `at` is each
         # one's flat index in the (K, n) arrays and `cs` its line.
-        alive = np.flatnonzero(np.less(L, R).T)
+        alive = np.less(L, R).T.ravel().nonzero()[0]
         at = scratch.at[alive]
         cs = scratch.line[alive]
         k = alive.size
@@ -290,7 +292,7 @@ class PureCharMarket(SyntheticMarket):
         from scipy.special import ndtr
 
         s = scratch.s[: k + 1]
-        np.negative(np.abs(t, out=s), out=s)
+        np.copysign(t, -1.0, out=s)  # -|t|
         np.copysign(ndtr(s, out=s), t, out=s)
         neg = np.signbit(t)
         straddle = neg[:-1] > (neg & np.isfinite(t))[1:]
@@ -305,7 +307,7 @@ class PureCharMarket(SyntheticMarket):
         def welfare():  # on first read, when the scratch may hold a later call's arrays
             a = self._lines.ravel()[at] + xo[cs]
             am, pd = a * mass, pdf * db
-            mean = float(np.sum(am) + np.sum(pd)) / n
+            mean = float(np.add.reduce(am) + np.add.reduce(pd)) / n
             # where the sum overflows, dividing first overflows only with the mean
             return mean if math.isfinite(mean) else float(np.sum(am / n) + np.sum(pd / n))
 
@@ -317,9 +319,11 @@ class PureCharMarket(SyntheticMarket):
             # keeps w = 0 there and leaves every interior db > 0 as it is.
             w = pdf / np.maximum(db, _TINY)
             S = np.bincount(own[:-1] * K + own[1:], weights=w, minlength=K * K).reshape(K, K)
-            S = S + S.T
+            S = S + S.T  # its diagonal is exactly +0.0: w = 0 where the owners coincide
+            jac = np.subtract(0.0, S[:J, :J])
             # The diagonal is the full row sum, outside column included.
-            jac = (np.diag(S.sum(axis=1)) - S)[:J, :J] / n
+            jac.ravel()[::K] = np.add.reduce(S[:J], axis=1)
+            jac /= n
         return ModelEvaluation(welfare, widths[:J] / n, jac)
 
 

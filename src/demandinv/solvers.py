@@ -139,10 +139,11 @@ def _floor_hessian(B) -> tuple[np.ndarray, np.ndarray]:
     """
     eig, V = np.linalg.eigh(B)
     J = B.shape[0]
-    floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-eig[0], eig[-1]))
-    if eig[0] >= floor:
+    lo, hi = float(eig[0]), float(eig[-1])
+    floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-lo, hi))
+    if lo >= floor:
         return eig, V
-    return eig + (floor + max(0.0, -eig[0])), V
+    return eig + (floor + max(0.0, -lo)), V
 
 
 def _tr_step(gt, lam, radius) -> np.ndarray:
@@ -242,8 +243,9 @@ def _residual_state(model, target):
         f = 0.5 * float(r @ r)
         g = jac.T @ r
         B = jac.T @ jac
-        err = float(np.abs(r).max())
-        scale = float(np.abs(r).sum())
+        abs_r = np.abs(r)
+        err = float(np.maximum.reduce(abs_r))
+        scale = float(np.add.reduce(abs_r))
         return f, g, B, err, scale
 
     return state

@@ -92,14 +92,14 @@ MUTANTS = [
     (
         "left bound from the adjacent lower line only",
         "purechar.py",
-        "cross.max(axis=0, out=Lc)",
+        "np.maximum.reduce(cross, axis=0, out=Lc)",
         "Lc[...] = cross[-1]",
         [GENERIC_SWEEP],
     ),
     (
         "coincident lines' NaN crossing dropped from the left bound",
         "purechar.py",
-        "cross.max(axis=0, out=Lc)",
+        "np.maximum.reduce(cross, axis=0, out=Lc)",
         "np.fmax.reduce(cross, axis=0, out=Lc)",
         [TIES],
     ),
@@ -134,8 +134,8 @@ MUTANTS = [
     (
         "alive segments listed line-major",
         "purechar.py",
-        "np.flatnonzero(np.less(L, R).T)",
-        "np.flatnonzero(np.less(L, R))",
+        "np.less(L, R).T.ravel().nonzero()[0]",
+        "np.less(L, R).ravel().nonzero()[0]",
         [GENERIC_SWEEP],
     ),
     (
@@ -232,8 +232,8 @@ MUTANTS = [
     (
         "Jacobian diagonal from the J inside columns only",
         "purechar.py",
-        "np.diag(S.sum(axis=1))",
-        "np.diag(S[:, :J].sum(axis=1))",
+        "np.add.reduce(S[:J], axis=1)",
+        "np.add.reduce(S[:J, :J], axis=1)",
         ["tests/test_purechar.py::TestJacobian::test_matches_finite_differences"],
     ),
     (
@@ -246,7 +246,7 @@ MUTANTS = [
     (
         "no _phi clip",
         "purechar.py",
-        "np.square(np.clip(t, -_PHI_CLIP, _PHI_CLIP))",
+        "np.square(np.minimum(np.abs(t), _PHI_CLIP))",
         "np.square(t)",
         ["tests/test_purechar.py::TestTiedSlopes::test_extreme_utilities_raise_no_warning"],
     ),
@@ -407,6 +407,16 @@ MUTANTS = [
         [PINNED],
     ),
     (
+        "residual_tr's round-off scale taken from the largest |r| in place of their sum",
+        "solvers.py",
+        "scale = float(np.add.reduce(abs_r))",
+        "scale = float(np.maximum.reduce(abs_r))",
+        [
+            "tests/test_solvers.py::TestResidualTrustRegion::"
+            "test_state_reports_both_norms_of_the_residual"
+        ],
+    ),
+    (
         "residual_tr reads the welfare",
         "solvers.py",
         "        f = 0.5 * float(r @ r)\n",
@@ -416,7 +426,7 @@ MUTANTS = [
     (
         "Newton step divides by the unshifted eigenvalues",
         "solvers.py",
-        "return eig + (floor + max(0.0, -eig[0])), V",
+        "return eig + (floor + max(0.0, -lo)), V",
         "return eig, V",
         [STEP_PROPERTY],
     ),
@@ -504,7 +514,7 @@ MUTANTS = [
     (
         "Jacobian finiteness dropped",
         "core.py",
-        "if jacobian.shape != (J, J) or not np.isfinite(jacobian).all():",
+        "if jacobian.shape != (J, J) or not finite:",
         "if jacobian.shape != (J, J):",
         [f"{VALIDATORS}::test_model_evaluation_rejects_nan_jacobian_entry"],
     ),
@@ -710,7 +720,7 @@ MUTANTS = [
     (
         "floor without the relative term",
         "solvers.py",
-        "floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-eig[0], eig[-1]))",
+        "floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-lo, hi))",
         "floor = REGULARIZATION_FLOOR",
         [STEP_PROPERTY],
     ),

@@ -227,6 +227,28 @@ class TestAccuracy:
                 worst = np.maximum(worst, np.array(errors) / self.EPS)
         assert np.all(worst <= self.BOUNDS[points]), worst
 
+    def test_forty_products_within_moderate_bounds(self):
+        # J=40 sums 41 exponentials per consumer; n <= 4 keeps the reference cheap
+        worst = np.zeros(4)
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 40])
+            M, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            market = di.LogitMarket(
+                z=rng.standard_normal((40, M)), nu=rng.standard_normal((n, M)), beta=np.ones(M)
+            )
+            for centre, scale in self.POINTS["moderate"]:
+                x = centre + scale * rng.uniform(-1.0, 1.0, 40)
+                ev = market.evaluate(x, want_jacobian=True)
+                ref_w, ref_s, ref_j = logit_decimal_reference(market.z, market.nu, x)
+                errors = (
+                    abs(ev.welfare - ref_w) / max(1.0, abs(ref_w)),
+                    np.max(np.abs(ev.shares - ref_s) / ref_s),
+                    np.max(np.abs(ev.shares - ref_s)),
+                    np.max(np.abs(ev.jacobian - ref_j)) / np.max(np.abs(ref_j)),
+                )
+                worst = np.maximum(worst, np.array(errors) / self.EPS)
+        assert np.all(worst <= self.BOUNDS["moderate"]), worst
+
 
 class TestCachedUtilities:
     """evaluate works on the (J, n) utilities z nu' that the market caches, and

@@ -368,6 +368,27 @@ class TestAccuracy:
                 worst = np.maximum(worst, np.array(errors) / self.EPS)
         assert np.all(worst <= self.BOUNDS[slopes]), worst
 
+    @pytest.mark.parametrize("slopes", sorted(BOUNDS))
+    def test_forty_products_within_bounds(self, slopes):
+        # 41 lines cross 820 times per consumer; n = 4 keeps the reference under a second
+        rng = np.random.default_rng([40, 11])
+        z = rng.standard_normal((40, 3))
+        if slopes == "grid":
+            z[:, 0] = 0.5 * rng.integers(-4, 5, 40)  # 9 slopes, so most lines tie
+        market = di.PureCharMarket(z=z, nu_rest=rng.standard_normal((4, 2)), beta=np.ones(3))
+        x = 2.0 * rng.uniform(-1.0, 1.0, 40)
+        ev = market.evaluate(x, want_jacobian=True)
+        ref_w, ref_s, ref_j = purechar_mpmath_reference(market.z, market.nu_rest, x)
+        live = ref_s > 0.0
+        assert np.all(ev.shares[~live] == 0.0)
+        errors = np.array((
+            abs(ev.welfare - ref_w) / max(1.0, abs(ref_w)),
+            np.max(np.abs(ev.shares - ref_s)[live] / ref_s[live], initial=0.0),
+            np.max(np.abs(ev.shares - ref_s)),
+            np.max(np.abs(ev.jacobian - ref_j)) / np.max(np.abs(ref_j), initial=self.TINY),
+        )) / self.EPS
+        assert np.all(errors <= self.BOUNDS[slopes]), errors
+
 
 class TestEvaluationPaths:
     def test_sweep_matches_vectorized_on_generic_market(self):
@@ -588,6 +609,24 @@ class TestCrossingTable:
         for seed in range(3):
             market = table_market("huge", seed)
             assert any(e < c - 1 for c, (_, e, *_) in enumerate(market._blocks, start=1))
+
+    def test_forty_products_on_each_side_of_the_cap(self, monkeypatch):
+        # n=4: the default cap holds all 40 blocks, a cap of 4 * 10 * 11 * n bytes
+        # blocks 1 to 10 only; half the slopes on a grid put tie slices on both sides
+        rng = np.random.default_rng(40)
+        z = rng.standard_normal((40, 3))
+        z[::2, 0] = 0.5 * rng.integers(-4, 5, 20)
+        nu_rest = rng.standard_normal((4, 2))
+        market = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(3))
+        monkeypatch.setattr(purechar, "_TABLE_BYTES", 4 * 10 * 11 * 4)
+        capped = di.PureCharMarket(z=z, nu_rest=nu_rest, beta=np.ones(3))
+        monkeypatch.undo()
+        assert [sum(T is not None for T, *_ in m._blocks) for m in (market, capped)] == [40, 10]
+        for side in (market._blocks[:10], market._blocks[10:]):
+            assert any(g_tail is not None for *_, g_tail in side)
+        for x in table_points(market):
+            ev = assert_matches_sweep(market, x, relative_jacobian=True)
+            assert snapshot(capped.evaluate(x, want_jacobian=True)) == snapshot(ev)
 
     def test_tables_read_only(self):
         for kind in TABLE_KINDS:

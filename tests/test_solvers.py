@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import demandinv as di
 from demandinv.harness import FAMILIES
-from demandinv.solvers import _floor_hessian, _tr_step
+from demandinv.solvers import _floor_hessian, _residual_state, _tr_step
 from oracles import cauchy_reduction, floored_step, outside_segment_consumers
 from test_purechar import draw_tied_slopes
 
@@ -411,6 +411,17 @@ class TestResidualTrustRegion:
         assert res.error_trace[-1] > 1e-6
         assert ref.error_trace[-1] < 1e-12
 
+    def test_state_reports_both_norms_of_the_residual(self):
+        # err is the max norm that the trace records; the round-off guard's scale
+        # is the 1-norm
+        market, x_star, sigma_star = di.make_purechar_instance(6, 3, 50, seed=4)
+        state = _residual_state(market, sigma_star)
+        for x in (x_star + 0.5, x_star - 2.0):
+            r = market.evaluate(x).shares - sigma_star
+            f, _, _, err, scale = state(x)
+            assert f == 0.5 * float(r @ r)
+            assert (err, scale) == (float(np.abs(r).max()), float(np.abs(r).sum()))
+
     def test_eval_accounting(self):
         market, _, sigma_star = di.make_logit_instance(4, 2, 30, seed=2)
         res = di.invert(market, sigma_star, "residual_tr")
@@ -544,6 +555,22 @@ class TestSolverContractProperty:
         scale = data.draw(st.sampled_from([1.0, 30.0, 720.0, 1e20, 1e150, 1e300]), label="scale")
         x0 = x_star + scale * rng.uniform(-1.0, 1.0, J)
         budget = data.draw(st.integers(0, 30), label="budget")
+        assert_solver_contract(market, sigma_star, x0, di.SolverConfig(max_iterations=budget))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_twenty_to_eighty_products(self, data):
+        # J up to 80 puts the pure-characteristics bounds loop past 40 blocks and
+        # each trust-region step on an 80 x 80 eigendecomposition
+        family = data.draw(st.sampled_from(["logit", "purechar"]), label="family")
+        J = data.draw(st.sampled_from([20, 40, 80]), label="J")
+        n = data.draw(st.integers(1, 5), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        delta_norm = data.draw(st.sampled_from([0.0, 5.0, 20.0]), label="delta_norm")
+        budget = data.draw(st.integers(0, 15), label="budget")
+        maker = di.make_logit_instance if family == "logit" else di.make_purechar_instance
+        market, x_star, sigma_star = maker(J, 3, n, seed=seed)
+        x0 = di.perturb_start(x_star, delta_norm, seed=seed)
         assert_solver_contract(market, sigma_star, x0, di.SolverConfig(max_iterations=budget))
 
 
