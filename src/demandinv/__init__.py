@@ -27,13 +27,7 @@ from .harness import (
     run_suite,
 )
 from .logit import LogitMarket, make_logit_instance
-from .purechar import (
-    OUTSIDE,
-    EnvelopeSegment,
-    PureCharMarket,
-    make_purechar_instance,
-    upper_envelope,
-)
+from .purechar import PureCharMarket, make_purechar_instance
 from .solvers import (
     METHODS,
     InversionResult,
@@ -47,11 +41,9 @@ __version__ = "0.1.0"
 __all__ = [
     "EULER_GAMMA",
     "METHODS",
-    "OUTSIDE",
     "WORKERS_ENV",
     "DegeneracyStats",
     "DemandModel",
-    "EnvelopeSegment",
     "ExperimentSpec",
     "InvalidInputError",
     "InversionResult",
@@ -71,6 +63,5 @@ __all__ = [
     "make_purechar_instance",
     "perturb_start",
     "run_suite",
-    "upper_envelope",
     "__version__",
 ]

@@ -718,6 +718,13 @@ MUTANTS = [
         [f"{MISTYPED_MODEL}[family_list]", f"{MISTYPED_SPEC}[model_family_number]"],
     ),
     (
+        "pure-characteristics slope order left writable",
+        "purechar.py",
+        "for arr in (order, bs, lines, div):",
+        "for arr in (bs, lines, div):",
+        [f"{SYNTHETIC}::test_every_array_held_is_read_only[purechar-False]"],
+    ),
+    (
         "floor without the relative term",
         "solvers.py",
         "floor = max(REGULARIZATION_FLOOR, max(64, J * (J + 1)) * _EPS * max(-lo, hi))",

@@ -1,10 +1,11 @@
 """Independent oracles the tests compare the library against.
 
 Everything here is deliberately written from the defining formulas:
-per-consumer Python loops, raw choice simulation, and grid argmax. The only
-library code an oracle uses is the public `upper_envelope` in the
-pure-characteristics sweep, and that is checked against grid argmax on its
-own. Slow and simple on purpose. `logit_decimal_reference` carries the logit
+per-consumer Python loops, raw choice simulation, grid argmax, and
+`upper_envelope`, a monotone-chain sweep of one consumer's lines that
+test_envelope.py checks against grid argmax. The only library code an oracle
+uses is the solvers' `_floor_hessian` and `_tr_step`, in `floored_step`.
+Slow and simple on purpose. `logit_decimal_reference` carries the logit
 formulas at 40 significant digits, and `purechar_mpmath_reference` the
 pure-characteristics ones, so they measure the library's round-off.
 `outside_segment_consumers` tells where the outside good owns no segment,
@@ -18,17 +19,21 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.special import ndtr
 
-import demandinv as di
+from demandinv import InvalidInputError
 from demandinv.modelio import TRACE_COLUMNS
 from demandinv.solvers import _floor_hessian, _tr_step
 
 EULER_GAMMA = 0.5772156649015329
 EULER_GAMMA_40 = Decimal("0.5772156649015328606065120900824024310422")
+
+# Owner sentinel for the outside option's zero line.
+OUTSIDE = -1
 
 
 def logit_reference(z, nu, x):
@@ -169,6 +174,87 @@ def mc_standard_errors(shares, total_draws):
     return np.sqrt(np.clip(shares * (1.0 - shares), 0.0, None) / total_draws)
 
 
+@dataclass(frozen=True)
+class EnvelopeSegment:
+    """One maximal interval of the upper envelope.
+
+    owner is a product index or OUTSIDE; the owner's line a + b*t weakly
+    dominates every other line on [lower, upper].
+    """
+
+    owner: int
+    lower: float
+    upper: float
+    a: float
+    b: float
+
+
+def upper_envelope(lines, include_zero_line: bool = True) -> list[EnvelopeSegment]:
+    """Upper envelope of affine functions t -> a + b*t.
+
+    Args:
+        lines: iterable of (owner, a, b) triples with integer owner >= 0.
+        include_zero_line: also include the outside option's zero line,
+            owned by OUTSIDE.
+
+    Returns:
+        Minimal left-to-right segment list covering (-inf, +inf): breakpoints
+        strictly increasing, slopes strictly increasing, no zero-width pieces.
+        Coincident lines are merged with the tie going to the lowest product
+        index; OUTSIDE loses ties to any product.
+    """
+    entries = []
+    for owner, a, b in lines:
+        a = float(a)
+        b = float(b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidInputError(f"line owned by {owner} has non-finite coefficients")
+        entries.append((int(owner), a, b))
+    if include_zero_line:
+        entries.append((OUTSIDE, 0.0, 0.0))
+    if not entries:
+        raise InvalidInputError("need at least one line or the zero line")
+
+    def tie_rank(owner: int) -> float:
+        return math.inf if owner == OUTSIDE else owner
+
+    # Among lines of equal slope only the highest intercept can ever win;
+    # among coincident lines the preferred owner keeps the segment.
+    best: dict[float, tuple[int, float, float]] = {}
+    for owner, a, b in entries:
+        cur = best.get(b)
+        if cur is None or a > cur[1] or (a == cur[1] and tie_rank(owner) < tie_rank(cur[0])):
+            best[b] = (owner, a, b)
+    cand = sorted(best.values(), key=lambda e: e[2])
+
+    # Convex-hull-style sweep in slope order: pop the stack top whenever the
+    # incoming line overtakes it at or before the top's own start. Slopes a
+    # subnormal apart cross at +-inf: a line that empties the stack starts at
+    # -inf, and one that overtakes the top only at +inf never wins.
+    stack = []
+    starts = []
+    for ent in cand:
+        _, a, b = ent
+        t = -math.inf
+        while stack:
+            _, ta, tb = stack[-1]
+            t = (ta - a) / (b - tb)
+            if t > starts[-1]:
+                break
+            stack.pop()
+            starts.pop()
+            t = -math.inf
+        if t < math.inf:
+            stack.append(ent)
+            starts.append(t)
+
+    uppers = starts[1:] + [math.inf]
+    return [
+        EnvelopeSegment(owner=o, lower=lo, upper=hi, a=a, b=b)
+        for (o, a, b), lo, hi in zip(stack, starts, uppers)
+    ]
+
+
 def grid_argmax_owner(lines, include_zero_line, ts):
     """Pointwise envelope ownership on a grid, by brute-force comparison.
 
@@ -248,7 +334,7 @@ def purechar_sweep_reference(z, nu_rest, x, want_jacobian=False):
     flux = np.zeros((J + 1, J + 1))
     welfare = 0.0
     for i in range(n):
-        segs = di.upper_envelope([(j, a[i, j], b[j]) for j in range(J)], include_zero_line=True)
+        segs = upper_envelope([(j, a[i, j], b[j]) for j in range(J)], include_zero_line=True)
         for s, seg in enumerate(segs):
             # the mass on its tail side: 1 - ndtr(lower) would cancel for lower > 0
             lo, hi = (-seg.upper, -seg.lower) if seg.lower > 0 else (seg.lower, seg.upper)
@@ -272,7 +358,7 @@ def outside_segment_consumers(market, x) -> int:
     a = np.asarray(x, float) + market.nu_rest @ market.z[:, 1:].T
     b = market.z[:, 0]
     return sum(
-        any(seg.owner == di.OUTSIDE for seg in di.upper_envelope(zip(range(market.J), row, b)))
+        any(seg.owner == OUTSIDE for seg in upper_envelope(zip(range(market.J), row, b)))
         for row in a
     )
 
@@ -373,5 +459,5 @@ def read_trace_csv(path) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
-            raise di.InvalidInputError(f"trace CSV has unexpected header {reader.fieldnames}")
+            raise InvalidInputError(f"trace CSV has unexpected header {reader.fieldnames}")
         return [{col: kind(row[col]) for col, kind in _TRACE_TYPES.items()} for row in reader]

@@ -1,6 +1,6 @@
-"""Evaluator contract: validators, the market checks both families share, objective
-anchors, and the gradient/convexity/monotonicity properties both model families
-must satisfy."""
+"""Evaluator contract: validators, the market checks and read-only state both
+families share, objective anchors, and the gradient/convexity/monotonicity
+properties both model families must satisfy."""
 
 import warnings
 
@@ -163,7 +163,34 @@ INVALID_MARKETS = {
 }
 
 
+def held_arrays(name, value):
+    """(path, array) for every ndarray reachable from value through tuples;
+    fails on a list, dict or set, whose items could be replaced."""
+    assert not isinstance(value, (list, dict, set)), f"{name} is a {type(value).__name__}"
+    if isinstance(value, np.ndarray):
+        return [(name, value)]
+    if isinstance(value, tuple):
+        return [pair for k, item in enumerate(value) for pair in held_arrays(f"{name}[{k}]", item)]
+    return []
+
+
 class TestSyntheticMarket:
+    @pytest.mark.parametrize(
+        "family, tied", [("logit", False), ("purechar", False), ("purechar", True)]
+    )
+    def test_every_array_held_is_read_only(self, family, tied):
+        # concurrent evaluations and deferred welfares share the market, so a
+        # write to anything it holds would move later results with no error
+        market, _, _ = FAMILIES[family].draw(4, 3, 5, seed=1)
+        if tied:  # equal slopes, the zero line's among them, give the table tie slices
+            z = market.z.copy()
+            z[:, 0] = [0.5, 0.5, 0.0, -1.0]
+            market = di.PureCharMarket(z, market.nu_rest, market.beta)
+            assert any(g_tail is not None for *_, g_tail in market._blocks)
+        held = [pair for name, value in vars(market).items() for pair in held_arrays(name, value)]
+        assert {"z", market.DRAWS, "beta"} < {name for name, _ in held}
+        assert [name for name, array in held if array.flags.writeable] == []
+
     @pytest.mark.parametrize(
         "family, case",
         [

@@ -26,6 +26,7 @@ from oracles import (
     purechar_mpmath_reference,
     purechar_share_quadrature,
     purechar_sweep_reference,
+    upper_envelope,
 )
 
 
@@ -243,9 +244,7 @@ def envelope_owners(market, x):
     """Each consumer's envelope segment owners, left to right, from the sweep."""
     a = x + market.nu_rest @ market.z[:, 1:].T
     b = market.z[:, 0]
-    return [
-        [seg.owner for seg in di.upper_envelope(zip(range(market.J), row, b))] for row in a
-    ]
+    return [[seg.owner for seg in upper_envelope(zip(range(market.J), row, b))] for row in a]
 
 
 class TestInvariants:

@@ -34,24 +34,7 @@ gap in units in the last place per output. It exits 1 when a gap exceeds
 error, or gives another shape, and when a non-finite evaluation differs at
 all. Every distinct pair of doubles is at least 1 ulp apart, +0.0 and -0.0
 included, so the default --ulps 0 fails exactly when an output differs in
-any bit. The logit evaluator's move onto its
-exp(z nu') table measured at most 10 ulps over the default markets (welfare
-3, shares 6, Jacobian 10, the maker's sigma* 5), so `--ulps 32` was its stated
-bound; its shifted fallback's move onto the table's arithmetic measured 1.
-The pure-characteristics bounds' move onto the cached crossing table changed
-3,896 of 14,400 evaluations, at most welfare 61,725, shares 1,839 and
-Jacobian 19,913 ulps (the maker's sigma* 391), so `--ulps 65536` is its
-stated bound. Each of the three largest lies in a deep tail at x* - 8 or on a
-Jacobian entry far below the largest: the welfare gap is a value of 4.85e-90
-whose error against a 40-digit reference fell from 1.1e-11 to 1.6e-14
-relative. The "huge" kind's evaluations did not change.
-The logit evaluator's fused max|x| guard and finiteness check, with the
-contraction's direct ufunc reductions and ModelEvaluation's sum-first share
-check, changed no evaluation and no maker output at --ulps 0, and every
-non-finite evaluation raised the same InvalidInputError in both trees.
-Forming the pure-characteristics densities and slope steps on every call, and
-each crossing block once at construction, changed no evaluation and no maker
-output at --ulps 0.
+any bit.
 """
 
 from __future__ import annotations
