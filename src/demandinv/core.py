@@ -192,13 +192,15 @@ class SyntheticMarket(DemandModel):
     them in its evaluator, so it simulates draws only for the other M - FIXED.
     Its dataclass fields are z (J, M), the draws (n, M - FIXED) in the field
     named DRAWS, and beta (M,) with beta[:FIXED] == 1, in that order.
+    Construction checks and freezes them, then holds each entry of the dict
+    that the family's `_derive(z, draws)` returns, top-level arrays read-only;
+    arrays nested in tuples the family makes read-only itself.
     """
 
     FIXED: int
     DRAWS: str
 
-    def _freeze_arrays(self):
-        """Freeze and check z, the draws and beta in place; return (z, draws)."""
+    def __post_init__(self):
         fixed, name = self.FIXED, self.DRAWS
         z = set_frozen_array(self, "z", self.z)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] <= fixed:
@@ -212,7 +214,11 @@ class SyntheticMarket(DemandModel):
         beta = set_frozen_array(self, "beta", self.beta, shape=z.shape[1:])
         if (beta[:fixed] != 1.0).any():
             raise InvalidInputError(f"beta[:{fixed}] must be all 1, got {beta[:fixed].tolist()}")
-        return z, draws
+        # derived caches are not fields, so equality and model files never see them
+        for key, value in self._derive(z, draws).items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, key, value)
 
     @property
     def J(self) -> int:

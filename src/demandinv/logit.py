@@ -28,24 +28,19 @@ class LogitMarket(SyntheticMarket):
     nu: np.ndarray
     beta: np.ndarray
 
-    def __post_init__(self):
-        z, nu = self._freeze_arrays()
-        # (J, n) utilities net of x; not a field, so equality and model files never see it
+    def _derive(self, z, nu) -> dict:
+        # (J, n) utilities net of x
         zn = frozen_product(z, nu.T, "z @ nu.T")
-        object.__setattr__(self, "_zn", zn)
         # E = exp(z nu') serves every x with max|x| <= _room: there each numerator
         # E e^x is a normal double and each sum of J + 1 of them stays finite
         room = 700.0 - float(np.log(self.J + 1.0) + np.abs(zn).max())
-        object.__setattr__(self, "_room", room)
-        object.__setattr__(self, "_exp", np.exp(zn) if room >= 0.0 else None)
-        if room >= 0.0:
-            self._exp.setflags(write=False)
+        return dict(_zn=zn, _room=room, _exp=np.exp(zn) if room >= 0.0 else None)
 
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Average log-sum-exp welfare (plus Euler's constant), choice shares,
         and optionally the share Jacobian accumulated in the same pass.
 
-        Within the table's room (see __post_init__), consumer i's numerators
+        Within the table's room (see _derive), consumer i's numerators
         are E[:, i] e^x. One max|x| is both that guard and the finiteness
         check: NaN and infinities fail the guard and are rejected past it.
         Elsewhere overflow is guarded by a per-consumer shift of

@@ -95,8 +95,7 @@ class PureCharMarket(SyntheticMarket):
     nu_rest: np.ndarray
     beta: np.ndarray
 
-    def __post_init__(self):
-        z, nu = self._freeze_arrays()
+    def _derive(self, z, nu) -> dict:
         # The K = J+1 lines (products, then the zero line) in one stable slope
         # order: equal slopes keep index order, the zero line last. + 0.0 turns
         # -0.0 into 0.0, so equal slopes subtract to +0.0. `_lines` caches their
@@ -130,13 +129,7 @@ class PureCharMarket(SyntheticMarket):
                     np.subtract(lines[e:c], lines[c], out=T[e:])  # the tie slice, undivided
                     T.setflags(write=False)
                 blocks.append((T if fits else None, e, g[:e], g[e:] if e < c else None))
-        for arr in (order, bs, lines, div):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_slopes", bs)
-        object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_div", div)
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        return dict(_order=order, _slopes=bs, _lines=lines, _div=div, _blocks=tuple(blocks))
 
     def evaluate(self, x, want_jacobian: bool = False) -> ModelEvaluation:
         """Shares, welfare and optionally the Jacobian via the interval formulation.

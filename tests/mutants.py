@@ -7,7 +7,7 @@ copy. It prints killed or survived per mutant. It exits 1 when a mutant
 survives, when a mutant's old text no longer occurs exactly once in its file,
 or when the named tests do not all pass on the unmutated copy. It uses the
 standard library only. pytest does not collect it, since it runs pytest once
-per mutant (about two minutes on two cores). Run it from anywhere:
+per mutant (3 min 36 s for 90 mutants on two cores). Run it from anywhere:
 
     python tests/mutants.py
 
@@ -718,11 +718,14 @@ MUTANTS = [
         [f"{MISTYPED_MODEL}[family_list]", f"{MISTYPED_SPEC}[model_family_number]"],
     ),
     (
-        "pure-characteristics slope order left writable",
-        "purechar.py",
-        "for arr in (order, bs, lines, div):",
-        "for arr in (bs, lines, div):",
-        [f"{SYNTHETIC}::test_every_array_held_is_read_only[purechar-False]"],
+        "skeleton leaves a derived cache writable",
+        "core.py",
+        "value.setflags(write=False)",
+        "pass",
+        [
+            f"{SYNTHETIC}::test_derived_entries_held_after_the_checks",
+            f"{SYNTHETIC}::test_every_array_held_is_read_only",
+        ],
     ),
     (
         "floor without the relative term",

@@ -3,12 +3,14 @@ families share, objective anchors, and the gradient/convexity/monotonicity
 properties both model families must satisfy."""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import demandinv as di
+from demandinv.core import SyntheticMarket
 from demandinv.harness import FAMILIES
 from oracles import finite_difference_gradient
 
@@ -174,7 +176,41 @@ def held_arrays(name, value):
     return []
 
 
+TOY_DERIVED = []  # the z shape of every ToyMarket whose _derive ran
+
+
+@dataclass(frozen=True, eq=False)
+class ToyMarket(SyntheticMarket):
+    """The least a family states: FIXED, DRAWS and a _derive returning an
+    array, a float and None."""
+
+    FIXED = 0
+    DRAWS = "nu"
+
+    z: np.ndarray
+    nu: np.ndarray
+    beta: np.ndarray
+
+    def _derive(self, z, nu):
+        TOY_DERIVED.append(z.shape)
+        return {"_table": z @ nu.T, "_room": 0.5, "_none": None}
+
+    def evaluate(self, x, want_jacobian=False):
+        raise NotImplementedError
+
+
 class TestSyntheticMarket:
+    def test_derived_entries_held_after_the_checks(self):
+        TOY_DERIVED.clear()
+        market = ToyMarket(np.ones((2, 1)), np.ones((3, 1)), np.ones(1))
+        assert TOY_DERIVED == [(2, 1)]
+        assert market._table.shape == (2, 3) and not market._table.flags.writeable
+        assert type(market._room) is float and market._room == 0.5
+        assert market._none is None
+        with pytest.raises(di.InvalidInputError, match=r"^z\b"):
+            ToyMarket(np.ones(2), np.ones((3, 1)), np.ones(1))
+        assert TOY_DERIVED == [(2, 1)]  # the malformed z raised before _derive ran
+
     @pytest.mark.parametrize(
         "family, tied", [("logit", False), ("purechar", False), ("purechar", True)]
     )

@@ -32,9 +32,10 @@ number of evaluations or made instances that differ bitwise and the largest
 gap in units in the last place per output. It exits 1 when a gap exceeds
 --ulps, or when one tree raises where the other does not, raises another
 error, or gives another shape, and when a non-finite evaluation differs at
-all. Every distinct pair of doubles is at least 1 ulp apart, +0.0 and -0.0
-included, so the default --ulps 0 fails exactly when an output differs in
-any bit.
+all. It also exits 1, with one line, when a tree's `demandinv` is imported
+from anywhere else, as through PYTHONPATH. Every distinct pair of doubles is
+at least 1 ulp apart, +0.0 and -0.0 included, so the default --ulps 0 fails
+exactly when an output differs in any bit.
 """
 
 from __future__ import annotations
@@ -43,10 +44,24 @@ import argparse
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 KINDS = ("generic", "grid", "ulp", "coincident", "signed_zero", "huge")
 # Each family's smallest attribute count M and its draws field.
 MAKERS = {"logit": (1, "nu"), "purechar": (2, "nu_rest")}
+
+
+def import_tree(tree):
+    """demandinv imported from the directory `tree`; exits with one line
+    naming both when the package comes from anywhere else."""
+    sys.path.insert(0, str(tree))
+    try:
+        import demandinv
+    except ImportError as exc:
+        sys.exit(f"{tree}: cannot import demandinv ({exc})")
+    if Path(tree).resolve() not in Path(demandinv.__file__).resolve().parents:
+        sys.exit(f"{tree} holds no demandinv package: imported {demandinv.__file__}")
+    return demandinv
 
 
 def draw_logit(rng):
@@ -227,13 +242,16 @@ def main() -> int:
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
-        sys.path.insert(0, args.old_src)
+        import_tree(args.old_src)
         sys.stdout.buffer.write(pickle.dumps(dump(args.per_kind)))
         return 0
     runs = []
     for src in (args.old_src, args.new_src):
         cmd = [sys.executable, __file__, src, src, "--per-kind", str(args.per_kind), "--dump"]
-        runs.append(pickle.loads(subprocess.run(cmd, stdout=subprocess.PIPE, check=True).stdout))
+        done = subprocess.run(cmd, stdout=subprocess.PIPE)
+        if done.returncode:  # the child has said why on stderr
+            return done.returncode
+        runs.append(pickle.loads(done.stdout))
     old, new = runs
     bad = False
     for key in ("logit", "purechar", "logit maker", "purechar maker"):

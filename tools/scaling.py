@@ -22,7 +22,8 @@ Each evaluate figure is the least over --repeat rounds of one round's mean
 per call, a round lasting about 0.1 s; each solver figure is the least over
 --repeat runs. Compare two trees only by interleaved runs on one machine.
 --trials 0 leaves the solver columns out. The package is imported from --src
-(default: this checkout's src/), and the file it came from is printed first.
+(default: this checkout's src/), and the file it came from is printed first;
+the script exits 1 with one line when that file lies outside --src.
 BLAS runs one thread, as in bench/run.py, unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS is already set; the header line prints it.
 Standard library and numpy only.
@@ -102,10 +103,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for var in BLAS_THREADS:  # read when numpy is first imported
         os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    import demandinv as di
+    from evaluator_parity import import_tree  # this script's directory leads sys.path
+
+    di = import_tree(args.src.resolve())
 
     threads = os.environ["OPENBLAS_NUM_THREADS"]
     print(f"demandinv from {di.__file__}, OPENBLAS_NUM_THREADS={threads}")
